@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -50,9 +51,9 @@ func main() {
 		perWindow  = flag.Int64("per-window", 1_000_000, "per-window capacity")
 		windowEps  = flag.Float64("window-epsilon", 0, "per-window tolerance (0 = epsilon)")
 		backend    = flag.String("backend", "mrl", "default quantile backend for new metrics: mrl, kll, or weighted")
-		applyWkrs  = flag.Int("apply-workers", 0, "async apply workers draining binary ingest queues (0 = one per core, -1 = apply only at queries/rotations/checkpoints)")
+		applyWkrs  = flag.Int("apply-workers", 0, "async apply workers draining the ingest queues (0 = one per core, -1 = apply only at queries/rotations/checkpoints)")
 		applyQueue = flag.Int("apply-queue", 0, "per-metric apply queue depth in batches (0 = 256)")
-		applyShed  = flag.Bool("apply-shed", false, "shed binary batches with 429 when a metric's apply queue is full instead of blocking the connection")
+		applyShed  = flag.Bool("apply-shed", false, "shed ingest batches (JSON and binary) with 429 when a metric's apply queue is full instead of blocking the request")
 		rotate     = flag.Duration("rotate-every", time.Minute, "tumble the window rings on this period (0 = only POST /rotate)")
 		checkpoint = flag.String("checkpoint", "", "checkpoint file path (empty disables persistence)")
 		ckptEvery  = flag.Duration("checkpoint-every", 30*time.Second, "period between checkpoints")
@@ -134,15 +135,30 @@ func main() {
 		}
 	}
 
+	// Bind every listener before serving any: /healthz answering 200 then
+	// promises that the binary ingest port accepts connections too.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var binLn net.Listener
+	if *binAddr != "" {
+		if binLn, err = net.Listen("tcp", *binAddr); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("quantiled binary ingest listening on %s", binLn.Addr())
+	}
+	log.Printf("quantiled listening on %s", ln.Addr())
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe(*addr) }()
-	if *binAddr != "" {
-		// ListenAndServeBinary returns nil on Shutdown, so a clean stop
-		// never races an error into errCh.
+	errCh := make(chan error, 2)
+	go func() { errCh <- srv.Serve(ln) }()
+	if binLn != nil {
+		// ServeBinary returns nil on Shutdown, so a clean stop never races
+		// an error into errCh.
 		go func() {
-			if err := srv.ListenAndServeBinary(*binAddr); err != nil {
+			if err := srv.ServeBinary(binLn); err != nil {
 				errCh <- err
 			}
 		}()

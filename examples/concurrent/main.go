@@ -95,7 +95,7 @@ func main() {
 
 	// The combined state can be sealed into a sequential sketch, e.g. to
 	// serialise it or merge it with summaries from other processes.
-	sealed, err := c.Seal()
+	sealed, err := c.SealEstimator()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,5 +104,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsealed to a sequential sketch: %s (%d bytes serialised)\n",
-		sealed.Describe(), len(blob))
+		sealed.(*quantile.Sketch).Describe(), len(blob))
 }

@@ -36,8 +36,8 @@ func (c *Coordinator) Ingest(ctx context.Context, metric, backend string, values
 // ForwardIngestJSON splits a POST /ingest body — one JSON object or any
 // concatenation of them — by owning node and forwards each group in one
 // request, preserving per-metric object order. Any node failure fails the
-// whole request; JSON ingest is idempotence-free either way, so the retry
-// story is unchanged from a single node's.
+// whole request; JSON batches carry no dedup identity either way, so the
+// retry story is unchanged from a single node's.
 func (c *Coordinator) ForwardIngestJSON(ctx context.Context, body []byte) (IngestResult, error) {
 	groups := make([][]byte, len(c.nodes))
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -75,8 +75,8 @@ func (c *Coordinator) ForwardIngestJSON(ctx context.Context, body []byte) (Inges
 }
 
 // ForwardBin decodes a complete MRLB ingest body, splits its batches by
-// owning node, and re-encodes one body per node — same stream version,
-// same session id, same per-batch sequence numbers. The sequence numbers
+// owning node, and re-encodes one body per node — same session id, same
+// per-batch sequence numbers. The sequence numbers
 // arrive at each node with gaps (a session's batches interleave across
 // owners) but stay strictly increasing per node, which is all the
 // high-water-mark dedup needs, so a retried body remains exactly-once on
@@ -97,12 +97,7 @@ func (c *Coordinator) ForwardBin(ctx context.Context, body []byte) (IngestResult
 		owner := Owner(c.nodes, b.Metric)
 		g := groups[owner]
 		if g == nil {
-			g = &group{dict: make(map[string]uint32)}
-			if st.Version >= 2 {
-				g.buf = serve.AppendBinPrologueV2(nil)
-			} else {
-				g.buf = serve.AppendBinPrologue(nil)
-			}
+			g = &group{dict: make(map[string]uint32), buf: serve.AppendBinPrologueV2(nil)}
 			if st.Session != 0 {
 				g.buf = serve.AppendSessionFrame(g.buf, st.Session)
 			}

@@ -9,11 +9,12 @@ import (
 )
 
 // The async apply pipeline decouples durability from application on the
-// binary ingest path. Connection goroutines decode a batch, dedup it against
-// its session, append it to the WAL and ack as soon as the fsync covering it
-// completes; the sketch work moves to a small pool of apply workers draining
-// per-metric FIFO queues. Decoded batch buffers are handed off by refcounted
-// pooled ownership — the float64 view parsed out of a frame is applied
+// one ingest path (see Server.ingest). A carrier goroutine decodes a batch,
+// dedups it against its session, appends it to the WAL and acks as soon as
+// the fsync covering it completes; the sketch work moves to a small pool of
+// apply workers draining per-metric FIFO queues. Decoded batch buffers are
+// handed off by refcounted pooled ownership — the float64 view parsed out
+// of an MRLB frame, or the array a JSON object decoded into, is applied
 // without ever being copied — and adjacent plain batches on the same metric
 // are coalesced into one multi-slice AddBatches call, amortising shard locks
 // across the backlog.
@@ -47,27 +48,29 @@ var ErrApplyBacklog = errors.New("serve: apply queue full, batch shed")
 // defaultApplyQueueDepth bounds one metric's apply backlog, in batches.
 const defaultApplyQueueDepth = 256
 
-// maxPooledFrameBytes caps buffers returned to the frame pool; one
-// pathological frame must not pin megabytes forever.
+// maxPooledFrameBytes caps the storage of a buffer returned to the frame
+// pool; one pathological frame or request must not pin megabytes forever.
 const maxPooledFrameBytes = 1 << 20
 
-// pooledBuf is a refcounted pooled byte buffer: the binary ingest carriers
-// read each frame (or HTTP body) into one, parse zero-copy float64 views out
-// of it, and hand a reference to the apply queue alongside the view. The
-// buffer returns to the pool when the last holder releases it, so the bytes
-// live exactly as long as the batch needs them and steady-state ingest
-// allocates nothing.
+// pooledBuf is a refcounted pooled buffer holding one carrier's decoded
+// batch storage: the bytes an MRLB frame (or HTTP body) was read into, with
+// zero-copy float64 views parsed out of them, or the value and weight arrays
+// a JSON ingest object decoded into. A reference goes to the apply queue
+// alongside the batch, and the buffer returns to the pool when the last
+// holder releases it, so the storage lives exactly as long as the batch
+// needs it and steady-state ingest allocates nothing.
 type pooledBuf struct {
-	b    []byte
-	refs atomic.Int32
+	b      []byte
+	vs, ws []float64
+	refs   atomic.Int32
 }
 
 var framePool = sync.Pool{New: func() any { return new(pooledBuf) }}
 
-// getFrameBuf returns a pooled buffer sized to n bytes with one reference.
-// The backing array always starts 8-aligned (Go allocates []byte of size >= 8
-// at 8-byte alignment), so the zero-copy float64 view applies to payloads
-// laid out by the MRLB framing.
+// getFrameBuf returns a pooled buffer with n bytes and one reference. The
+// byte array always starts 8-aligned (Go allocates []byte of size >= 8 at
+// 8-byte alignment), so the zero-copy float64 view applies to payloads laid
+// out by the MRLB framing.
 func getFrameBuf(n int) *pooledBuf {
 	p := framePool.Get().(*pooledBuf)
 	if cap(p.b) < n {
@@ -79,7 +82,7 @@ func getFrameBuf(n int) *pooledBuf {
 }
 
 // retain adds a reference; the apply queue takes one per enqueued batch that
-// views into the buffer.
+// lives in the buffer.
 func (p *pooledBuf) retain() { p.refs.Add(1) }
 
 // release drops one reference, returning the buffer to the pool when it was
@@ -89,10 +92,20 @@ func (p *pooledBuf) release() {
 		return
 	}
 	if p.refs.Add(-1) == 0 {
-		if cap(p.b) <= maxPooledFrameBytes {
+		if cap(p.b)+8*(cap(p.vs)+cap(p.ws)) <= maxPooledFrameBytes {
 			framePool.Put(p)
 		}
 	}
+}
+
+// holds reports whether vs lives in the buffer's storage: a zero-copy view
+// into its bytes, or its own decoded value or weight array.
+func (p *pooledBuf) holds(vs []float64) bool {
+	return viewInto(p.b, vs) || sameArray(p.vs, vs) || sameArray(p.ws, vs)
+}
+
+func sameArray(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // viewInto reports whether vs is a zero-copy view into buf's bytes. The
@@ -112,16 +125,15 @@ func viewInto(buf []byte, vs []float64) bool {
 type applyItem struct {
 	vs []float64
 	ws []float64 // nil for plain batches
-	// buf is the pooled buffer vs/ws view into (one reference held); nil
+	// buf is the pooled buffer vs/ws live in (one reference held); nil
 	// when the slices stand alone (WAL replay, copied scratch decodes).
 	buf *pooledBuf
 	// replay marks recovery items: they bypass the window ring and count as
-	// replayed rather than ingested, exactly like the old synchronous
-	// ApplyReplay.
+	// replayed rather than ingested.
 	replay bool
 }
 
-// applyQueue is one metric's MPSC apply backlog: any number of connection
+// applyQueue is one metric's MPSC apply backlog: any number of carrier
 // goroutines reserve+enqueue, one drainer at a time (a pool worker or a
 // query thread helping out) applies in FIFO order.
 type applyQueue struct {

@@ -8,7 +8,9 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,8 +129,9 @@ func TestAsyncApplyBitIdenticalToSync(t *testing.T) {
 }
 
 // TestApplyBackpressureShed covers the shed policy: a full queue fails the
-// reservation with ErrApplyBacklog — mapped to 429, so a client retries — and
-// nothing about the queued backlog is disturbed.
+// reservation with ErrApplyBacklog — mapped to 429, so a client retries, on
+// JSON ingest as on binary — and nothing about the queued backlog is
+// disturbed.
 func TestApplyBackpressureShed(t *testing.T) {
 	cfg := applyTestConfig()
 	cfg.ApplyQueueDepth = 2
@@ -150,11 +153,17 @@ func TestApplyBackpressureShed(t *testing.T) {
 	if got := statusFor(ErrApplyBacklog); got != http.StatusTooManyRequests {
 		t.Fatalf("statusFor(ErrApplyBacklog) = %d, want 429", got)
 	}
+	rec := httptest.NewRecorder()
+	mustNew(t, reg, Options{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(ingestBody("m", []float64{3}))))
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" || !strings.Contains(rec.Body.String(), ErrApplyBacklog.Error()) {
+		t.Fatalf("JSON ingest into a full queue: %d %q (Retry-After %q), want 429 ErrApplyBacklog",
+			rec.Code, rec.Body.String(), rec.Header().Get("Retry-After"))
+	}
 	// Replay must never shed: forceBlock bypasses the policy (there is space
 	// again after a drain).
 	st := reg.ApplyStatus()
-	if st.Policy != "shed" || st.ShedBatches != 1 || st.PendingBatches != 2 {
-		t.Fatalf("apply status %+v, want policy=shed shed=1 pending=2", st)
+	if st.Policy != "shed" || st.ShedBatches != 2 || st.PendingBatches != 2 {
+		t.Fatalf("apply status %+v, want policy=shed shed=2 pending=2", st)
 	}
 	reg.drainAll()
 	if st := reg.ApplyStatus(); st.PendingBatches != 0 || st.AppliedBatches != 2 {

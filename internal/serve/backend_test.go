@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -62,33 +61,39 @@ func TestEnsureBackendAndMismatch(t *testing.T) {
 	}
 }
 
+// TestIngestWeighted drives weighted batches through the server's one
+// ingest path: weights are refused for metrics that cannot carry them and
+// must pair up positive and finite, and an accepted batch is answered by
+// weight.
 func TestIngestWeighted(t *testing.T) {
 	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := mustNew(t, reg, Options{})
+	ingest := func(name string, vs, ws []float64) error { return srv.ingest(name, vs, ws, nil, nil, 0) }
 	// Weights against an MRL metric (or one that would be created MRL).
-	if err := reg.Ingest("plain", []float64{1}); err != nil {
+	if err := ingest("plain", []float64{1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.IngestWeighted("plain", []float64{1}, []float64{2}); !errors.Is(err, ErrWeightsUnsupported) {
+	if err := ingest("plain", []float64{1}, []float64{2}); !errors.Is(err, ErrWeightsUnsupported) {
 		t.Fatalf("weights into mrl metric err = %v, want ErrWeightsUnsupported", err)
 	}
-	if err := reg.IngestWeighted("fresh", []float64{1}, []float64{2}); !errors.Is(err, ErrWeightsUnsupported) {
+	if err := ingest("fresh", []float64{1}, []float64{2}); !errors.Is(err, ErrWeightsUnsupported) {
 		t.Fatalf("weights into default-backed fresh metric err = %v, want ErrWeightsUnsupported", err)
 	}
 
 	if err := reg.EnsureBackend("lat", "weighted"); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.IngestWeighted("lat", []float64{1, 2}, []float64{1}); !errors.Is(err, ErrWeightMismatch) {
+	if err := ingest("lat", []float64{1, 2}, []float64{1}); !errors.Is(err, ErrWeightMismatch) {
 		t.Fatalf("unpaired weights err = %v, want ErrWeightMismatch", err)
 	}
-	if err := reg.IngestWeighted("lat", []float64{1}, []float64{-1}); !errors.Is(err, ErrWeightMismatch) {
+	if err := ingest("lat", []float64{1}, []float64{-1}); !errors.Is(err, ErrWeightMismatch) {
 		t.Fatalf("negative weight err = %v, want ErrWeightMismatch", err)
 	}
 	// (v=10, w=9) and (v=20, w=1): the median by weight is 10.
-	if err := reg.IngestWeighted("lat", []float64{10, 20}, []float64{9, 1}); err != nil {
+	if err := ingest("lat", []float64{10, 20}, []float64{9, 1}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := reg.Quantiles("lat", []float64{0.5}, false)
@@ -219,7 +224,7 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 	for i := range ws {
 		ws[i] = float64(1 + i%3)
 	}
-	if err := reg.IngestWeighted("m-w", data, ws); err != nil {
+	if err := mustNew(t, reg, Options{}).ingest("m-w", data, ws, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -285,55 +290,6 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 	}
 	if res.Count != int64(len(data)+100) {
 		t.Fatalf("second-generation count %d, want %d", res.Count, len(data)+100)
-	}
-}
-
-// TestLegacyCheckpointRestoresAsMRL hand-encodes a version-2 checkpoint (the
-// format before backend tags) and restores it: the metric must come back as
-// an MRL baseline.
-func TestLegacyCheckpointRestoresAsMRL(t *testing.T) {
-	sk, err := quantile.New(quantile.Config{Epsilon: 0.01, N: 10_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sk.AddBatch([]float64{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(ckptMagic)
-	buf.WriteByte(2) // pre-backend-tag version
-	_ = binary.Write(&buf, binary.LittleEndian, uint64(7))
-	_ = binary.Write(&buf, binary.LittleEndian, uint32(1))
-	_ = binary.Write(&buf, binary.LittleEndian, uint16(len("legacy")))
-	buf.WriteString("legacy")
-	_ = binary.Write(&buf, binary.LittleEndian, uint32(1))
-	_ = binary.Write(&buf, binary.LittleEndian, uint32(len(blob)))
-	buf.Write(blob)
-
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := reg.Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 7 {
-		t.Fatalf("walSeq %d", seq)
-	}
-	if b := reg.Backend("legacy"); b != quantile.BackendMRL {
-		t.Fatalf("legacy metric restored as %q", b)
-	}
-	res, err := reg.Quantiles("legacy", []float64{0.5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 5 || res.Values[0] != 3 {
-		t.Fatalf("legacy restore answered %+v", res)
 	}
 }
 

@@ -33,7 +33,7 @@ func dialBin(t *testing.T, addr string) *binClient {
 		t.Fatal(err)
 	}
 	c := &binClient{t: t, conn: conn, br: bufio.NewReader(conn)}
-	if _, err := conn.Write(AppendBinPrologue(nil)); err != nil {
+	if _, err := conn.Write(AppendBinPrologueV2(nil)); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -93,7 +93,7 @@ func (c *binClient) readAck() binParsed {
 
 // binStreamBody renders a complete POST /ingest/bin body for one metric.
 func binStreamBody(id uint32, name, backend string, batches [][2][]float64) []byte {
-	body := AppendBinPrologue(nil)
+	body := AppendBinPrologueV2(nil)
 	body = AppendDictFrame(body, id, name, backend)
 	for _, b := range batches {
 		body = AppendBatchFrame(body, id, b[0], b[1])
@@ -102,30 +102,18 @@ func binStreamBody(id uint32, name, backend string, batches [][2][]float64) []by
 }
 
 // TestBinaryJSONDifferentialBitIdentical drives the same batch sequence
-// into two fresh registries — one through POST /ingest (JSON), one through
-// POST /ingest/bin — for all three backends, weights included, and requires
-// the resulting sketch state to be BIT-identical: the encoded checkpoints
-// must match byte for byte. The binary path is a transport, not a different
-// estimator.
+// through the three ingest carriers — POST /ingest (JSON), POST /ingest/bin
+// and MRLB over TCP — into three fresh registries, for all three backends,
+// weights included. Every carrier feeds the one ingest path, so the
+// resulting sketch state must be BIT-identical (the encoded checkpoints
+// match byte for byte) and every /quantile answer, all-time and windowed,
+// must match too. The carriers are transports, not different estimators.
 func TestBinaryJSONDifferentialBitIdentical(t *testing.T) {
-	cfg := Config{Epsilon: 0.01, N: 100_000, Shards: 1}
+	cfg := Config{Epsilon: 0.01, N: 100_000, Shards: 1, Windows: 2, PerWindow: 50_000}
 	data := permutation(6000)
 	for _, backend := range []string{"mrl", "kll", "weighted"} {
 		t.Run(backend, func(t *testing.T) {
-			regJSON, err := NewRegistry(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			regBin, err := NewRegistry(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srvJSON := httptest.NewServer(mustNew(t, regJSON, Options{}).Handler())
-			defer srvJSON.Close()
-			srvBin := httptest.NewServer(mustNew(t, regBin, Options{}).Handler())
-			defer srvBin.Close()
-
-			// Same metric name on both sides: per-metric seeds derive from the
+			// Same metric name everywhere: per-metric seeds derive from the
 			// name, so KLL's compaction coin flips match too.
 			const metric = "diff"
 			var batches [][2][]float64
@@ -145,49 +133,94 @@ func TestBinaryJSONDifferentialBitIdentical(t *testing.T) {
 				batches = append(batches, [2][]float64{vs, ws})
 				off += n
 			}
-
-			// JSON side: one object per batch.
-			for _, b := range batches {
-				req := ingestRequest{Metric: metric, Backend: backend, Values: b[0], Weights: b[1]}
-				blob, _ := json.Marshal(req)
-				resp := postBody(t, srvJSON.URL+"/ingest", string(blob))
-				if resp.StatusCode != http.StatusOK {
-					body, _ := io.ReadAll(resp.Body)
-					t.Fatalf("JSON ingest: status %d: %s", resp.StatusCode, body)
+			carriers := []string{"json", "bin-http", "bin-tcp"}
+			regs := make([]*Registry, len(carriers))
+			srvs := make([]*Server, len(carriers))
+			for i := range carriers {
+				reg, err := NewRegistry(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				resp.Body.Close()
+				regs[i], srvs[i] = reg, mustNew(t, reg, Options{})
+				defer srvs[i].Kill()
 			}
-			// Binary side: one body carrying a dict frame and every batch.
-			body := binStreamBody(1, metric, backend, batches)
-			resp, err := http.Post(srvBin.URL+"/ingest/bin", "application/octet-stream", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
+			post := func(srv *Server, path string, body []byte) ingestResponse {
+				t.Helper()
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body.String())
+				}
+				var ir ingestResponse
+				if err := json.NewDecoder(rec.Body).Decode(&ir); err != nil {
+					t.Fatal(err)
+				}
+				return ir
 			}
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(resp.Body)
-				t.Fatalf("binary ingest: status %d: %s", resp.StatusCode, b)
+
+			// JSON: NDJSON bodies of three objects, so a body's batches sit in
+			// the apply queue together.
+			for i := 0; i < len(batches); i += 3 {
+				var body []byte
+				for _, b := range batches[i:min(i+3, len(batches))] {
+					blob, err := json.Marshal(ingestRequest{Metric: metric, Backend: backend, Values: b[0], Weights: b[1]})
+					if err != nil {
+						t.Fatal(err)
+					}
+					body = append(append(body, blob...), '\n')
+				}
+				post(srvs[0], "/ingest", body)
 			}
-			var ir ingestResponse
-			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
+			// MRLB over HTTP: one body carrying a dict frame and every batch.
+			ir := post(srvs[1], "/ingest/bin", binStreamBody(1, metric, backend, batches))
 			if ir.Accepted != int64(len(data)) || ir.Batches != len(batches) {
 				t.Fatalf("binary ingest accepted %d/%d batches %d/%d",
 					ir.Accepted, len(data), ir.Batches, len(batches))
 			}
+			// MRLB over TCP: one stream, one ack per batch.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = srvs[2].ServeBinary(ln) }()
+			c := dialBin(t, ln.Addr().String())
+			c.dict(7, metric, backend)
+			for _, b := range batches {
+				if accepted, msg := c.batch(7, b[0], b[1]); msg != "" || int(accepted) != len(b[0]) {
+					t.Fatalf("TCP batch: accepted %d of %d: %q", accepted, len(b[0]), msg)
+				}
+			}
+			c.close()
 
-			ckJSON, err := regJSON.encodeCheckpoint(0)
+			answers := make([][]string, len(carriers))
+			for i, srv := range srvs {
+				for _, q := range []string{"phi=0,0.01,0.5,0.99,1", "phi=0.25,0.75&window=true"} {
+					rec := httptest.NewRecorder()
+					srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/quantile?metric="+metric+"&"+q, nil))
+					answers[i] = append(answers[i], fmt.Sprintf("%d %s", rec.Code, strings.TrimSpace(rec.Body.String())))
+				}
+			}
+			if !strings.HasPrefix(answers[0][0], "200 ") {
+				t.Fatalf("all-time query failed: %s", answers[0][0])
+			}
+			ck0, err := regs[0].encodeCheckpoint(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ckBin, err := regBin.encodeCheckpoint(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ckJSON, ckBin) {
-				t.Fatalf("backend %s: JSON and binary ingest produced different sketch state (%d vs %d checkpoint bytes)",
-					backend, len(ckJSON), len(ckBin))
+			for i := 1; i < len(carriers); i++ {
+				ck, err := regs[i].encodeCheckpoint(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ck, ck0) {
+					t.Fatalf("%s and %s ingest produced different sketch state (%d vs %d checkpoint bytes)",
+						carriers[i], carriers[0], len(ck), len(ck0))
+				}
+				for j := range answers[i] {
+					if answers[i][j] != answers[0][j] {
+						t.Fatalf("%s answered %s\n%s answered %s", carriers[i], answers[i][j], carriers[0], answers[0][j])
+					}
+				}
 			}
 		})
 	}
@@ -269,16 +302,23 @@ func TestBinaryTCPMixedProtocolRace(t *testing.T) {
 	sort.Float64s(sorted)
 	checkWithinBound(t, sorted, phis, res.Values, res.ErrorBound, "mixed-protocol")
 
-	// Protocol-level rejects must not kill the stream: a batch against an
-	// uninterned id errors, the next good batch still lands.
+	// A rejected batch ends its stream (a stream never applies past a failed
+	// batch): a batch against an uninterned id draws an error ack and a
+	// close, and a fresh stream's good batch still lands.
 	c := dialBin(t, ln.Addr().String())
 	defer c.close()
 	c.dict(1, metric, "")
 	if _, msg := c.batch(99, []float64{1}, nil); !strings.Contains(msg, "unknown metric id") {
 		t.Fatalf("uninterned id: %q", msg)
 	}
-	if _, msg := c.batch(1, []float64{1, 2}, nil); msg != "" {
-		t.Fatalf("batch after recoverable error: %q", msg)
+	if _, err := c.br.ReadByte(); err != io.EOF {
+		t.Fatalf("stream survived a rejected batch: %v", err)
+	}
+	c2 := dialBin(t, ln.Addr().String())
+	defer c2.close()
+	c2.dict(1, metric, "")
+	if _, msg := c2.batch(1, []float64{1, 2}, nil); msg != "" {
+		t.Fatalf("batch on a fresh stream: %q", msg)
 	}
 
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -308,11 +348,11 @@ func TestBinaryIngestHTTPErrors(t *testing.T) {
 	if resp := post([]byte("not a prologue")); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad prologue: %d", resp.StatusCode)
 	}
-	if resp := post(AppendBinPrologue(nil)); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(AppendBinPrologueV2(nil)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no batch frames: %d", resp.StatusCode)
 	}
 	// Batch against an id no dict frame interned.
-	body := AppendBinPrologue(nil)
+	body := AppendBinPrologueV2(nil)
 	body = AppendBatchFrame(body, 5, []float64{1}, nil)
 	if resp := post(body); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown id: %d", resp.StatusCode)

@@ -67,11 +67,11 @@ func TestBinProtoRoundTrip(t *testing.T) {
 		}
 	}
 	// The whole stream concatenates and splits back apart.
-	stream := AppendBinPrologue(nil)
+	stream := AppendBinPrologueV2(nil)
 	for _, f := range frames {
 		stream = append(stream, f...)
 	}
-	if err := CheckBinPrologue(stream); err != nil {
+	if err := parseBinPrologue(stream); err != nil {
 		t.Fatal(err)
 	}
 	rest := stream[binPrologueLen:]
@@ -115,6 +115,12 @@ func TestBinProtoRejectsCorruption(t *testing.T) {
 	fixCRC(bad)
 	if _, _, err := parseBinFrame(bad, nil, nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("nonzero dict pad accepted: %v", err)
+	}
+	// Only version 2 is spoken; the retired version 1 prologue is refused.
+	pro := AppendBinPrologueV2(nil)
+	pro[4] = 1
+	if err := parseBinPrologue(pro); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("version-1 prologue accepted: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -153,11 +154,18 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	if _, err := fresh().Restore(bytes.NewReader(append(append([]byte(nil), blob...), 0))); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	// Version bump must be rejected, not misparsed.
-	bad := append([]byte(nil), blob...)
-	bad[4] = ckptVersion + 1
-	if _, err := fresh().Restore(bytes.NewReader(bad)); err == nil {
-		t.Error("future version accepted")
+	// Any version but the current one — a future bump or a retired 1-3 — is
+	// refused up front, not misparsed.
+	for _, version := range []byte{1, 2, 3, ckptVersion + 1} {
+		bad := append([]byte(nil), blob...)
+		bad[4] = version
+		r := fresh()
+		if _, err := r.Restore(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
+			t.Errorf("version %d: err = %v, want unsupported checkpoint version", version, err)
+		}
+		if r.Len() != 0 {
+			t.Errorf("version %d checkpoint created %d metrics", version, r.Len())
+		}
 	}
 }
 

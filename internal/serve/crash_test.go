@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -44,7 +45,9 @@ func crashOptions(mem *faultfs.Mem) Options {
 // tolerated extra is the single unacknowledged batch whose append failed
 // (its bytes may have reached the disk anyway), and every served quantile
 // verifies against the exact oracle within its own certificate. A third
-// life after a graceful shutdown must agree as well.
+// life after a graceful shutdown must agree as well. The json rows hard-kill
+// a server right after POST /ingest acks: with no fault injected, the
+// recovered count must equal the acked count exactly.
 func TestCrashRecoveryNoAckedLoss(t *testing.T) {
 	const seeds = 60
 	for seed := int64(0); seed < seeds; seed++ {
@@ -54,6 +57,75 @@ func TestCrashRecoveryNoAckedLoss(t *testing.T) {
 			runCrashLife(t, seed)
 		})
 	}
+	const jsonSeeds = 8
+	for seed := int64(0); seed < jsonSeeds; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("json/seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runJSONCrashLife(t, seed)
+		})
+	}
+}
+
+// runJSONCrashLife acks a seeded stream of POST /ingest requests (NDJSON
+// bodies of several batches each), checkpointing once along the way, then
+// pulls the power: torn unsynced tails, no shutdown. Odd seeds run without
+// apply workers, so the acked batches are still queued, unapplied, when the
+// server dies. Every acked value must come back exactly once.
+func runJSONCrashLife(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	mem := faultfs.NewMem()
+	cfg := crashConfig()
+	if seed%2 == 1 {
+		cfg.ApplyWorkers = -1
+	}
+	reg1, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := New(reg1, crashOptions(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s1.Handler()
+	data := permutation(1200 + int(seed)*17)
+	var acked []float64
+	ckptAt := rng.Intn(10)
+	for req := 0; len(data) > 0; req++ {
+		if req == ckptAt {
+			if err := s1.saveCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var body strings.Builder
+		var sent []float64
+		for objs := 1 + rng.Intn(3); objs > 0 && len(data) > 0; objs-- {
+			n := 1 + rng.Intn(60)
+			if n > len(data) {
+				n = len(data)
+			}
+			body.WriteString(ingestBody("lat", data[:n]))
+			body.WriteByte('\n')
+			sent = append(sent, data[:n]...)
+			data = data[n:]
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body.String())))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /ingest: %d %s", rec.Code, rec.Body.String())
+		}
+		acked = append(acked, sent...)
+	}
+	mem.CrashPartial(rng)
+
+	reg2, err := NewRegistry(crashConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(reg2, crashOptions(mem)); err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	verifyOracle(t, reg2, acked, nil, "after a JSON ack")
 }
 
 func runCrashLife(t *testing.T, seed int64) {
@@ -73,16 +145,11 @@ func runCrashLife(t *testing.T, seed int64) {
 	var acked []float64
 	var failed []float64 // the single batch whose ack failed, if any
 
-	// Half the seeds ingest through the pipelined (binary-path) WAL append
-	// instead of the plain one, so every fault kind hits the group-commit
-	// committer too. Driven sequentially, each commit group holds exactly
-	// one frame, which keeps the two-candidate oracle invariant intact.
-	binPath := seed%8 >= 4
-	ingest1 := s1.ingestBatch
-	if binPath {
-		ingest1 = func(name string, vs []float64) error {
-			return s1.ingestBatchPipelined(name, vs, nil)
-		}
+	// Every fault kind hits the group-commit committer. Driven
+	// sequentially, each commit group holds exactly one frame, which keeps
+	// the two-candidate oracle invariant intact.
+	ingest1 := func(name string, vs []float64) error {
+		return s1.ingest(name, vs, nil, nil, nil, 0)
 	}
 
 	// The fault fires partway through the stream; which kind depends on the
@@ -157,15 +224,9 @@ func runCrashLife(t *testing.T, seed int64) {
 	// The recovered server keeps working: more ingest, a graceful shutdown
 	// (final checkpoint + WAL prune), and a third life must still agree.
 	extra := permutation(200)
-	ingest2 := s2.ingestBatch
-	if binPath {
-		// The pipelined path also has to survive recovery AND the Shutdown
-		// below, which drains the committer before sealing the log.
-		ingest2 = func(name string, vs []float64) error {
-			return s2.ingestBatchPipelined(name, vs, nil)
-		}
-	}
-	if err := ingest2("lat", extra); err != nil {
+	// The ingest path also has to survive recovery AND the Shutdown below,
+	// which drains the committer before sealing the log.
+	if err := s2.ingest("lat", extra, nil, nil, nil, 0); err != nil {
 		t.Fatalf("ingest after recovery: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -403,7 +464,7 @@ func TestWALRecoveryRealFS(t *testing.T) {
 	data := permutation(20_000)
 	const chunk = 1000
 	for off := 0; off < len(data); off += chunk {
-		if err := s1.ingestBatch("lat", data[off:off+chunk]); err != nil {
+		if err := s1.ingest("lat", data[off:off+chunk], nil, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

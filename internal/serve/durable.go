@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mrl/internal/wal"
+	"mrl/quantile"
 )
 
 // Typed failures of the durability path; the HTTP layer maps them onto 429
@@ -140,51 +141,118 @@ func (s *Server) recoverState() error {
 	return nil
 }
 
-// ingestBatch is the WAL-then-apply ingest path. The batch is validated
-// first (an unapplicable batch must never become durable), shed while
-// degraded, and otherwise appended to the log before it touches any sketch
-// — all under the read side of the checkpoint gate, so a checkpoint cut
-// never observes a batch in the log but not in the sketches or vice versa.
-func (s *Server) ingestBatch(name string, vs []float64) error {
-	if err := s.reg.ValidateIngest(name, vs); err != nil {
+// ingest is the server's one write path. Every carrier — POST /ingest,
+// MRLB over HTTP and over TCP, and so every batch a cluster coordinator
+// forwards — hands each decoded batch (weighted when ws is non-nil) through
+// the same chain:
+//
+//	validate → dedup (sequenced only) → reserve queue slot → WAL append → enqueue → ack
+//
+// A nil return is the ack: the batch is durable under the WAL policy and
+// queued for apply, and every query drains the metric's queue first, so
+// read-your-acks holds. buf, when non-nil, is the pooled buffer vs and ws
+// live in; the apply queue takes its own reference.
+//
+// Validation comes first: a batch that can never be applied must never
+// become durable. The queue slot is reserved before the append, so a batch
+// shed with ErrApplyBacklog was never logged and a retry cannot
+// double-count; reserving outside the checkpoint gate keeps a blocked
+// reservation from stalling the checkpointer. The append and the enqueue run
+// under the read side of the gate, so a checkpoint cut never observes a
+// batch in the log but not in the queues or vice versa.
+//
+// A sequenced batch (ent non-nil) runs the exactly-once discipline: dedup
+// check, append, enqueue and high-water advance are serialised under the
+// session entry's mutex, so two connections replaying the same session
+// cannot interleave and double-apply. A seq at or below the high-water mark
+// is a retry of a batch already counted: it is acked without being applied,
+// before the degraded check — a duplicate costs no durability, so shedding
+// it would only stall the client's replay. The gate is taken inside the
+// entry mutex; the checkpointer takes the gate and then only the table
+// mutex (never an entry mutex, hw is atomic), so the lock order is acyclic.
+//
+// Any error out of here ends an MRLB stream (error ack, then close; see
+// serveBinaryConn). The single high-water mark means "every seq at or below
+// is applied" only while application is a contiguous prefix of the client's
+// sequence numbers; a stream left open past a failed batch would advance the
+// mark over the hole and swallow the client's retry as a duplicate.
+func (s *Server) ingest(name string, vs, ws []float64, buf *pooledBuf, ent *sessionEntry, seq uint64) error {
+	if err := s.reg.ValidateIngest(name, vs, ws); err != nil {
 		return err
+	}
+	var m *metric
+	var err error
+	if ws != nil {
+		m, err = s.reg.getOrCreateBackend(name, quantile.BackendWeighted)
+	} else {
+		m, err = s.reg.getOrCreate(name)
+	}
+	if err != nil {
+		return err
+	}
+	var sid uint64
+	if ent != nil {
+		ent.mu.Lock()
+		defer ent.mu.Unlock()
+		if seq <= ent.hw.Load() {
+			return nil
+		}
+		sid = ent.sid
 	}
 	if degraded, _, _, lastErr := s.health.state(s.opt.FailureThreshold); degraded {
 		return fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr)
 	}
+	if err := m.q.reserve(false); err != nil {
+		return err
+	}
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if s.wal != nil {
-		if _, err := s.wal.Append(s.reg.walRecordName(name), vs); err != nil {
+		recName, recVals := s.reg.walRecordName(name), vs
+		if ws != nil {
+			recName, recVals = weightedWALPrefix+name, interleaveWeighted(vs, ws)
+		}
+		if _, err := s.wal.AppendPipelinedSeq(recName, recVals, sid, seq); err != nil {
+			m.q.cancel()
 			s.health.noteWAL(err)
+			// The WAL may now hold a record that was never enqueued here, but
+			// nothing was acked: a sequenced retry re-logs and applies it, and
+			// recovery dedups the two records via replayAdvance.
 			return fmt.Errorf("%w: %v", ErrUnavailable, err)
 		}
 		s.health.noteWAL(nil)
 	}
-	return s.reg.Ingest(name, vs)
+	// Enqueue-then-advance keeps the high-water contract: a seq at or below
+	// the mark is always either applied or queued behind a drain barrier,
+	// and it is durable in the WAL either way.
+	s.enqueueApply(m, vs, ws, buf)
+	if ent != nil {
+		ent.hw.Store(seq)
+	}
+	return nil
 }
 
-// ingestWeightedBatch is ingestBatch for (value, weight) batches: the record
-// lands in the log under the reserved weighted prefix with values and
-// weights interleaved, so replay can reconstruct the pairs (see
-// Registry.ApplyReplay).
-func (s *Server) ingestWeightedBatch(name string, vs, ws []float64) error {
-	if err := s.reg.ValidateIngestWeighted(name, vs, ws); err != nil {
-		return err
+// enqueueApply hands one validated, durable batch to the metric's apply
+// queue. When the values (and weights) live in the pooled buffer the queue
+// retains the buffer until the batch is applied; anything else — a
+// scratch-decoded fallback view whose backing array the next frame reuses —
+// is copied out. The caller has already reserved queue space.
+func (s *Server) enqueueApply(m *metric, vs, ws []float64, buf *pooledBuf) {
+	if len(vs) == 0 {
+		m.q.cancel()
+		m.batches.Add(1) // empty batches count as ingest calls
+		return
 	}
-	if degraded, _, _, lastErr := s.health.state(s.opt.FailureThreshold); degraded {
-		return fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr)
-	}
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.wal != nil {
-		if _, err := s.wal.Append(weightedWALPrefix+name, interleaveWeighted(vs, ws)); err != nil {
-			s.health.noteWAL(err)
-			return fmt.Errorf("%w: %v", ErrUnavailable, err)
+	if buf != nil && buf.holds(vs) && (ws == nil || buf.holds(ws)) {
+		buf.retain()
+	} else {
+		buf = nil
+		vs = append([]float64(nil), vs...)
+		if ws != nil {
+			ws = append([]float64(nil), ws...)
 		}
-		s.health.noteWAL(nil)
 	}
-	return s.reg.IngestWeighted(name, vs, ws)
+	m.q.enqueue(m, applyItem{vs: vs, ws: ws, buf: buf})
 }
 
 // saveCheckpoint cuts an exact checkpoint: the gate's write side excludes

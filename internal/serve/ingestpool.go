@@ -3,41 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sync"
 )
-
-// ingestScratch is the request-scoped scratch of one POST /ingest: the raw
-// body bytes and the decode target whose Values backing array json.Unmarshal
-// reuses across objects. Pooled so a steady ingest load allocates no
-// per-request buffers.
-type ingestScratch struct {
-	body []byte
-	req  ingestRequest
-}
-
-// Pooled buffers above these caps are dropped instead of returned: one
-// pathological request must not pin megabytes in the pool forever.
-const (
-	maxPooledBodyBytes = 1 << 20
-	maxPooledValues    = 1 << 16
-)
-
-var ingestPool = sync.Pool{New: func() any {
-	return &ingestScratch{body: make([]byte, 0, 64<<10)}
-}}
-
-func getIngestScratch() *ingestScratch {
-	return ingestPool.Get().(*ingestScratch)
-}
-
-func putIngestScratch(sc *ingestScratch) {
-	if cap(sc.body) > maxPooledBodyBytes || cap(sc.req.Values) > maxPooledValues || cap(sc.req.Weights) > maxPooledValues {
-		return
-	}
-	sc.body = sc.body[:0]
-	sc.req = ingestRequest{Values: sc.req.Values[:0], Weights: sc.req.Weights[:0]}
-	ingestPool.Put(sc)
-}
 
 // readFullBody drains r into buf, reusing its capacity; it grows by
 // doubling (via append) only when the body outruns what previous requests

@@ -84,24 +84,22 @@ func TestReadFullBody(t *testing.T) {
 	}
 }
 
-// TestIngestScratchPoolDropsOversized pins the pool hygiene: request-scoped
-// buffers above the caps are not returned to the pool.
+// TestIngestScratchPoolDropsOversized pins the pool hygiene of the buffers
+// every ingest carrier decodes into: a buffer whose bytes or decoded arrays
+// outgrew the cap is not returned to the pool.
 func TestIngestScratchPoolDropsOversized(t *testing.T) {
-	sc := &ingestScratch{
-		body: make([]byte, 0, maxPooledBodyBytes+1),
+	for _, big := range []*pooledBuf{
+		{b: make([]byte, maxPooledFrameBytes+1)},
+		{vs: make([]float64, 0, maxPooledFrameBytes/8+1)},
+		{ws: make([]float64, 0, maxPooledFrameBytes/8+1)},
+	} {
+		big.refs.Store(1)
+		big.release() // must be dropped, not pooled
+		got := getFrameBuf(0)
+		if got == big {
+			t.Fatalf("oversized buffer (bytes %d, values %d, weights %d) survived in the pool",
+				cap(big.b), cap(big.vs), cap(big.ws))
+		}
+		got.release()
 	}
-	putIngestScratch(sc) // must be dropped, not pooled
-	got := getIngestScratch()
-	if cap(got.body) > maxPooledBodyBytes {
-		t.Fatalf("oversized body buffer (cap %d) survived in the pool", cap(got.body))
-	}
-	putIngestScratch(got)
-
-	sc2 := &ingestScratch{req: ingestRequest{Values: make([]float64, 0, maxPooledValues+1)}}
-	putIngestScratch(sc2)
-	got2 := getIngestScratch()
-	if cap(got2.req.Values) > maxPooledValues {
-		t.Fatalf("oversized values buffer (cap %d) survived in the pool", cap(got2.req.Values))
-	}
-	putIngestScratch(got2)
 }

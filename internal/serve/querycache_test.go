@@ -2,8 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -170,5 +173,66 @@ func TestPprofMounting(t *testing.T) {
 	}
 	if st := metricsz(t, off); st.PprofEnabled {
 		t.Fatal("pprof disabled but /metricsz reports pprofEnabled=true")
+	}
+}
+
+// TestQueryCacheReadYourAcks is the regression test for a cached answer that
+// hid an acked batch. The generation must move only once a batch is in:
+// bumped first, a query racing the apply caches its pre-write answer under
+// the post-write generation and serves it again after the ack. One writer
+// acks batches while readers hammer the same cached keys, all-time and
+// windowed; every answer must count at least the values acked before the
+// query was sent. Run it under -race for the interleavings.
+func TestQueryCacheReadYourAcks(t *testing.T) {
+	reg, err := NewRegistry(Config{Epsilon: 0.001, N: 10_000_000, Shards: 1, Windows: 2, PerWindow: 5_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	const batch, rounds = 4096, 300
+	vs := permutation(batch)
+	if err := reg.Ingest("lat", vs); err != nil {
+		t.Fatal(err)
+	}
+	var acked atomic.Int64
+	acked.Store(batch)
+	var stale atomic.Int64
+	var first atomic.Value
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(windowed bool) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				want := acked.Load()
+				res, err := reg.QuantilesCached("lat", "0.5", []float64{0.5}, windowed)
+				if err != nil {
+					first.CompareAndSwap(nil, err.Error())
+					stale.Add(1)
+					return
+				}
+				if res.Count < want {
+					first.CompareAndSwap(nil, fmt.Sprintf("window=%v answered count %d after %d values were acked", windowed, res.Count, want))
+					stale.Add(1)
+				}
+			}
+		}(r%2 == 1)
+	}
+	for i := 1; i < rounds; i++ {
+		if err := reg.Ingest("lat", vs); err != nil {
+			t.Fatal(err)
+		}
+		acked.Add(batch)
+	}
+	close(stop)
+	wg.Wait()
+	if n := stale.Load(); n > 0 {
+		t.Fatalf("%d answers missed acked values; first: %v", n, first.Load())
 	}
 }

@@ -99,14 +99,14 @@ type Config struct {
 	// ingest; a metric's backend is fixed once created.
 	Backend string
 
-	// ApplyWorkers sizes the async apply worker pool draining the binary
-	// ingest queues: 0 (the default) means one per GOMAXPROCS, -1 disables
+	// ApplyWorkers sizes the async apply worker pool draining the ingest
+	// queues: 0 (the default) means one per GOMAXPROCS, -1 disables
 	// the pool entirely so queued batches apply only at drain barriers
 	// (queries, rotations, checkpoints).
 	ApplyWorkers int
 
 	// ApplyQueueDepth bounds one metric's apply backlog, in batches; 0 means
-	// 256. A full queue exerts backpressure on the binary ingest path per
+	// 256. A full queue exerts backpressure on every ingest carrier per
 	// ApplyShed.
 	ApplyQueueDepth int
 
@@ -149,8 +149,8 @@ type metric struct {
 	cacheMu sync.Mutex
 	cache   map[queryCacheKey]queryCacheEntry
 
-	// q is the metric's async apply backlog (binary ingest and recovery
-	// enqueue here; see applyqueue.go).
+	// q is the metric's async apply backlog (every ingest carrier and
+	// recovery enqueue here; see applyqueue.go).
 	q applyQueue
 }
 
@@ -219,7 +219,7 @@ type Registry struct {
 	// pool drains the per-metric apply queues; see applyqueue.go.
 	pool *applyPool
 
-	// sessions is the binary ingest exactly-once dedup table (MRLB v2);
+	// sessions is the binary ingest exactly-once dedup table;
 	// see session.go.
 	sessions *sessionTable
 
@@ -413,7 +413,10 @@ func (m *metric) applyPlain(vs []float64, replay bool) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	m.gen.Add(1)
+	// The generation moves only once the batch is in: a query racing the
+	// apply then caches under the pre-write generation, which the bump
+	// invalidates (see QuantilesCached).
+	defer m.gen.Add(1)
 	if err := m.all.AddBatch(vs); err != nil {
 		return err
 	}
@@ -423,11 +426,11 @@ func (m *metric) applyPlain(vs []float64, replay bool) error {
 	}
 	if m.ring != nil {
 		m.mu.Lock()
-		if err := m.ring.AddBatch(vs); err != nil {
-			m.mu.Unlock()
+		err := m.ring.AddBatch(vs)
+		m.mu.Unlock()
+		if err != nil {
 			return err
 		}
-		m.mu.Unlock()
 	}
 	m.ingested.Add(int64(len(vs)))
 	return nil
@@ -442,7 +445,7 @@ func (m *metric) applyWeighted(vs, ws []float64, replay bool) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	m.gen.Add(1)
+	defer m.gen.Add(1) // after the mutation; see applyPlain
 	if err := m.all.AddWeightedBatch(vs, ws); err != nil {
 		return err
 	}
@@ -470,7 +473,7 @@ func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
 	if n == 0 {
 		return nil
 	}
-	m.gen.Add(1)
+	defer m.gen.Add(1) // after the mutation; see applyPlain
 	if err := m.all.AddBatches(vss); err != nil {
 		return err
 	}
@@ -509,68 +512,27 @@ func validateWeights(vs, ws []float64) error {
 	return nil
 }
 
-// IngestWeighted routes one batch of (value, weight) pairs into the metric's
-// all-time summary. The metric must run — or, if created here, the registry
-// default must be — the "weighted" backend; anything else is
-// ErrWeightsUnsupported. The tumbling window ring is bypassed: it summarises
-// unweighted recency and has no way to carry weights. All-or-nothing like
-// Ingest.
-func (r *Registry) IngestWeighted(name string, vs, ws []float64) error {
-	if m := r.get(name); m != nil {
-		if m.backend != quantile.BackendWeighted {
-			return fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, name, m.backend)
-		}
-	} else if r.defaultBackend != quantile.BackendWeighted {
-		// Creation here would pick a backend that cannot take weights;
-		// register the metric with the weighted backend first.
-		return fmt.Errorf("%w: metric %q", ErrWeightsUnsupported, name)
-	}
-	m, err := r.getOrCreateBackend(name, quantile.BackendWeighted)
-	if err != nil {
-		return err
-	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	if err := validateWeights(vs, ws); err != nil {
-		return err
-	}
-	return m.applyWeighted(vs, ws, false)
-}
-
 // ValidateIngest checks a batch without mutating anything: the metric name
-// must be acceptable and the values free of NaN. The WAL-backed ingest path
-// runs it before appending to the log, so a batch that can never be applied
-// is never made durable either.
-func (r *Registry) ValidateIngest(name string, vs []float64) error {
-	if m := r.get(name); m == nil {
+// must be acceptable and the values free of NaN. A weighted batch (ws
+// non-nil) also needs a metric that can take weights — one running the
+// "weighted" backend, or a registry defaulting to it when the metric does
+// not exist yet — and weights paired with the values, positive and finite.
+// The ingest path runs it before appending to the log, so a batch that can
+// never be applied is never made durable either.
+func (r *Registry) ValidateIngest(name string, vs, ws []float64) error {
+	m := r.get(name)
+	if m == nil {
 		if err := validateMetricName(name); err != nil {
 			return err
 		}
 	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	return nil
-}
-
-// ValidateIngestWeighted is ValidateIngest for weighted batches: the metric
-// must be able to take weights (see IngestWeighted), the values free of NaN,
-// and the weights paired, positive and finite.
-func (r *Registry) ValidateIngestWeighted(name string, vs, ws []float64) error {
-	if m := r.get(name); m != nil {
-		if m.backend != quantile.BackendWeighted {
+	if ws != nil {
+		if m != nil && m.backend != quantile.BackendWeighted {
 			return fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, name, m.backend)
 		}
-	} else {
-		if err := validateMetricName(name); err != nil {
-			return err
-		}
-		if r.defaultBackend != quantile.BackendWeighted {
+		if m == nil && r.defaultBackend != quantile.BackendWeighted {
+			// Creation would pick a backend that cannot take weights;
+			// register the metric with the weighted backend first.
 			return fmt.Errorf("%w: metric %q", ErrWeightsUnsupported, name)
 		}
 	}
@@ -579,7 +541,10 @@ func (r *Registry) ValidateIngestWeighted(name string, vs, ws []float64) error {
 			return fmt.Errorf("%w (element %d)", ErrNaN, i)
 		}
 	}
-	return validateWeights(vs, ws)
+	if ws != nil {
+		return validateWeights(vs, ws)
+	}
+	return nil
 }
 
 // walRecordName is the WAL record name for a plain batch into the named
@@ -660,24 +625,12 @@ func (r *Registry) resolveReplay(name string, vs []float64) (*metric, []float64,
 	return m, vs, nil, nil
 }
 
-// ApplyReplay folds one recovered WAL batch into the metric's all-time
-// sketch, synchronously. Unlike Ingest it bypasses the tumbling window —
-// windows describe "recent" data, which a restart makes stale by definition —
-// and counts the values as replayed rather than ingested, so observability
-// can tell recovered history from this process's own traffic.
-func (r *Registry) ApplyReplay(name string, vs []float64) error {
-	m, values, weights, err := r.resolveReplay(name, vs)
-	if err != nil {
-		return err
-	}
-	if weights != nil {
-		return m.applyWeighted(values, weights, true)
-	}
-	return m.applyPlain(values, true)
-}
-
-// EnqueueReplay is ApplyReplay through the async apply pipeline: the record
-// is resolved and validated synchronously (keeping recovery's error fidelity
+// EnqueueReplay folds one recovered WAL record into its metric through the
+// apply queues. Unlike ingest it bypasses the tumbling window — windows
+// describe "recent" data, which a restart makes stale by definition — and
+// counts the values as replayed rather than ingested, so observability can
+// tell recovered history from this process's own traffic. The record is
+// resolved and validated synchronously (keeping recovery's error fidelity
 // and the single-threaded session dedup ordering) but applied by the worker
 // pool, so replay decode overlaps sketch work across metrics. Replay must
 // not drop records, so a full queue always blocks regardless of the shed
@@ -718,10 +671,11 @@ func (r *Registry) Rotate(name string) error {
 	// Rotation is a drain barrier: batches acked before the rotation belong
 	// to the closing window, not the fresh one.
 	m.q.drain(m)
-	m.gen.Add(1)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ring.Rotate()
+	err := m.ring.Rotate()
+	m.mu.Unlock()
+	m.gen.Add(1) // after the mutation; see applyPlain
+	return err
 }
 
 // RotateAll tumbles every windowed metric's ring, returning the names it
@@ -734,10 +688,10 @@ func (r *Registry) RotateAll() ([]string, error) {
 			continue
 		}
 		m.q.drain(m)
-		m.gen.Add(1)
 		m.mu.Lock()
 		err := m.ring.Rotate()
 		m.mu.Unlock()
+		m.gen.Add(1) // after the mutation; see applyPlain
 		if err != nil {
 			return rotated, fmt.Errorf("serve: rotating %q: %w", name, err)
 		}

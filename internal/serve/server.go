@@ -212,16 +212,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	return err
 }
 
-// ListenAndServe is Serve on a fresh TCP listener.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.logf("quantiled listening on %s", ln.Addr())
-	return s.Serve(ln)
-}
-
 // startLoops launches the rotation and checkpoint tickers; caller holds
 // s.mu and has set s.stop.
 func (s *Server) startLoops() {
@@ -404,14 +394,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeIngestError(w, fmt.Errorf("%w (last error: %s)", ErrDegraded, lastErr))
 		return
 	}
-	// Read the whole body into pooled scratch, then split and decode the
-	// JSON objects in place: the splitter finds value boundaries and
-	// json.Unmarshal reuses the pooled Values backing array, so a warm
-	// ingest request allocates no decode buffers.
-	sc := getIngestScratch()
-	defer putIngestScratch(sc)
+	// Read the whole body into a pooled buffer, then split the JSON objects
+	// in place. Each object decodes into the value and weight arrays of its
+	// own pooled buffer, which rides the apply queue with the batch exactly
+	// as an MRLB frame buffer does: no per-batch copy, no per-batch heap
+	// allocation once the pool is warm.
+	body := getFrameBuf(0)
+	defer body.release()
 	var err error
-	sc.body, err = readFullBody(http.MaxBytesReader(w, r.Body, s.opt.MaxIngestBytes), sc.body)
+	body.b, err = readFullBody(http.MaxBytesReader(w, r.Body, s.opt.MaxIngestBytes), body.b)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -422,7 +413,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp ingestResponse
-	rest := sc.body
+	var req ingestRequest
+	rest := body.b
 	for {
 		var obj []byte
 		obj, rest, err = nextJSONValue(rest)
@@ -433,31 +425,30 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
 			return
 		}
-		sc.req.Metric = ""
-		sc.req.Backend = ""
-		sc.req.Values = sc.req.Values[:0]
-		sc.req.Weights = sc.req.Weights[:0]
-		if err := json.Unmarshal(obj, &sc.req); err != nil {
+		batch := getFrameBuf(0)
+		req = ingestRequest{Values: batch.vs[:0], Weights: batch.ws[:0]}
+		if err := json.Unmarshal(obj, &req); err != nil {
+			batch.release()
 			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad ingest body: %w", err))
 			return
 		}
-		if sc.req.Backend != "" {
-			if err := s.reg.EnsureBackend(sc.req.Metric, sc.req.Backend); err != nil {
-				s.writeIngestError(w, err)
-				return
+		batch.vs, batch.ws = req.Values, req.Weights
+		if req.Backend != "" {
+			err = s.reg.EnsureBackend(req.Metric, req.Backend)
+		}
+		if err == nil {
+			var ws []float64
+			if len(req.Weights) > 0 {
+				ws = req.Weights
 			}
+			err = s.ingest(req.Metric, req.Values, ws, batch, nil, 0)
 		}
-		var ingestErr error
-		if len(sc.req.Weights) > 0 {
-			ingestErr = s.ingestWeightedBatch(sc.req.Metric, sc.req.Values, sc.req.Weights)
-		} else {
-			ingestErr = s.ingestBatch(sc.req.Metric, sc.req.Values)
-		}
-		if ingestErr != nil {
-			s.writeIngestError(w, ingestErr)
+		batch.release()
+		if err != nil {
+			s.writeIngestError(w, err)
 			return
 		}
-		resp.Accepted += int64(len(sc.req.Values))
+		resp.Accepted += int64(len(req.Values))
 		resp.Batches++
 	}
 	if resp.Batches == 0 {

@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"mrl/internal/parallel"
 )
 
 // This file is the backend-generic side of Concurrent: the methods that
-// work whatever summary the shards run. The MRL-specific fast paths
-// (Section 4.9 combined OUTPUT over snapshots, Seal, CombineWith) live in
-// concurrent.go; everything here reaches shards through the Estimator
-// interface and combines by clone-and-absorb, which every backend's
-// Absorb supports.
+// work whatever summary the shards run. MRL answers and bounds go through
+// the Section 4.9 combined OUTPUT over shard snapshots (internal/parallel);
+// every other backend, and sealing, combines by clone-and-absorb, which
+// every backend's Absorb supports.
 
 // Backend returns the summary implementation the shards run.
 func (c *Concurrent) Backend() Backend { return c.backend }
@@ -83,13 +84,13 @@ func (c *Concurrent) combineEstimators(extra []Estimator) (Estimator, error) {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if sh.est == nil {
-			sh.mu.Unlock()
-			return nil, errors.New("quantile: combineEstimators on an MRL sketch")
+		e := sh.est
+		if sh.sk != nil {
+			e = &Sketch{det: sh.sk}
 		}
 		var err error
-		if sh.est.Count() > 0 {
-			err = absorb(sh.est)
+		if e.Count() > 0 {
+			err = absorb(e)
 		}
 		sh.mu.Unlock()
 		if err != nil {
@@ -109,11 +110,9 @@ func (c *Concurrent) combineEstimators(extra []Estimator) (Estimator, error) {
 
 // SealEstimator folds every shard into one standalone estimator of the
 // sketch's backend — e.g. to serialise the combined state — leaving the
-// Concurrent sketch usable and unchanged. For MRL backends it is Seal.
+// Concurrent sketch usable and unchanged. An MRL sketch seals into a
+// *Sketch through the COLLAPSE-based absorb path.
 func (c *Concurrent) SealEstimator() (Estimator, error) {
-	if c.backend == BackendMRL {
-		return c.Seal()
-	}
 	out, err := c.combineEstimators(nil)
 	if err != nil {
 		return nil, err
@@ -132,7 +131,7 @@ func (c *Concurrent) SealEstimator() (Estimator, error) {
 // skipped; extras must match the sketch's backend.
 func (c *Concurrent) CombineEstimators(extra []Estimator, phis []float64) (values []float64, errorBound float64, count int64, err error) {
 	if c.backend == BackendMRL {
-		sketches := make([]*Sketch, 0, len(extra))
+		snaps := c.snapshots()
 		for _, e := range extra {
 			if e == nil {
 				continue
@@ -141,9 +140,16 @@ func (c *Concurrent) CombineEstimators(extra []Estimator, phis []float64) (value
 			if !ok {
 				return nil, 0, 0, fmt.Errorf("quantile: cannot combine %T with an MRL sketch", e)
 			}
-			sketches = append(sketches, s)
+			if s.smp != nil {
+				return nil, 0, 0, errors.New("quantile: sampled sketches cannot be combined")
+			}
+			snaps = append(snaps, parallel.Snap(s.det))
 		}
-		return c.CombineWith(sketches, phis)
+		res, err := parallel.CombineSnapshots(snaps, phis)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return res.Values, res.ErrorBound, res.Count, nil
 	}
 	combined, err := c.combineEstimators(extra)
 	if err != nil {
@@ -164,13 +170,13 @@ func (c *Concurrent) CombineEstimators(extra []Estimator, phis []float64) (value
 // CombineEstimators would certify, without selecting any quantiles.
 func (c *Concurrent) BoundEstimators(extra []Estimator) float64 {
 	if c.backend == BackendMRL {
-		sketches := make([]*Sketch, 0, len(extra))
+		snaps := c.snapshots()
 		for _, e := range extra {
-			if s, ok := e.(*Sketch); ok {
-				sketches = append(sketches, s)
+			if s, ok := e.(*Sketch); ok && s.det != nil {
+				snaps = append(snaps, parallel.Snap(s.det))
 			}
 		}
-		return c.BoundWith(sketches)
+		return parallel.CombinedBound(snaps)
 	}
 	combined, err := c.combineEstimators(extra)
 	if err != nil || combined == nil {

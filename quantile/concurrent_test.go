@@ -448,14 +448,17 @@ func TestConcurrentSeal(t *testing.T) {
 	if err := c.AddBatch(data); err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := c.Seal()
+	sealed, err := c.SealEstimator()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := sealed.(*Sketch); !ok {
+		t.Fatalf("MRL sealed into %T, want *Sketch", sealed)
 	}
 	if sealed.Count() != n {
 		t.Fatalf("sealed Count = %d, want %d", sealed.Count(), n)
 	}
-	med, err := sealed.Median()
+	med, err := sealed.Quantile(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,8 +481,8 @@ func TestConcurrentSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := empty.Seal(); err == nil {
-		t.Error("Seal on empty sketch succeeded")
+	if _, err := empty.SealEstimator(); err == nil {
+		t.Error("SealEstimator on empty sketch succeeded")
 	}
 }
 
@@ -550,7 +553,11 @@ func TestConcurrentShardCountsAndStats(t *testing.T) {
 	}
 }
 
-func TestConcurrentCombineWith(t *testing.T) {
+// TestConcurrentCombineEstimatorsMRL pins the MRL side of the combine API:
+// restored-sketch and nil extras, BoundEstimators agreeing with the bound
+// CombineEstimators certifies, the no-extras case matching the plain read
+// path, and the rejection of sampled sketches.
+func TestConcurrentCombineEstimatorsMRL(t *testing.T) {
 	const n = 40_000
 	data := make([]float64, n)
 	for i := range data {
@@ -582,15 +589,15 @@ func TestConcurrentCombineWith(t *testing.T) {
 	}
 
 	phis := []float64{0.1, 0.5, 0.9}
-	values, bound, count, err := c.CombineWith([]*Sketch{restored, nil}, phis)
+	values, bound, count, err := c.CombineEstimators([]Estimator{restored, nil}, phis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if count != n {
 		t.Fatalf("combined count %d, want %d", count, n)
 	}
-	if got := c.BoundWith([]*Sketch{restored, nil}); got != bound {
-		t.Fatalf("BoundWith %v != CombineWith bound %v", got, bound)
+	if got := c.BoundEstimators([]Estimator{restored, nil}); got != bound {
+		t.Fatalf("BoundEstimators %v != CombineEstimators bound %v", got, bound)
 	}
 	for i, phi := range phis {
 		target := math.Ceil(phi * n)
@@ -603,16 +610,16 @@ func TestConcurrentCombineWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, nilBound, nilCount, err := c.CombineWith(nil, phis)
+	viaNil, nilBound, nilCount, err := c.CombineEstimators(nil, phis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nilCount != c.Count() || nilBound != directBound {
-		t.Fatalf("CombineWith(nil) accounting %d/%v, want %d/%v", nilCount, nilBound, c.Count(), directBound)
+		t.Fatalf("CombineEstimators(nil) accounting %d/%v, want %d/%v", nilCount, nilBound, c.Count(), directBound)
 	}
 	for i := range direct {
 		if direct[i] != viaNil[i] {
-			t.Fatalf("CombineWith(nil) diverges from QuantilesWithBound at %d", i)
+			t.Fatalf("CombineEstimators(nil) diverges from QuantilesWithBound at %d", i)
 		}
 	}
 	// Sampled sketches cannot take part.
@@ -623,7 +630,7 @@ func TestConcurrentCombineWith(t *testing.T) {
 	if !smp.Sampled() {
 		t.Skip("sampling plan did not trigger; cannot exercise rejection")
 	}
-	if _, _, _, err := c.CombineWith([]*Sketch{smp}, phis); err == nil {
+	if _, _, _, err := c.CombineEstimators([]Estimator{smp}, phis); err == nil {
 		t.Error("sampled extra accepted")
 	}
 }
