@@ -73,6 +73,13 @@ func usage() {
 
 var headerRe = regexp.MustCompile(`^(goos|goarch|pkg|cpu): `)
 
+// procsSuffixRe matches the "-N" GOMAXPROCS suffix go test appends to every
+// benchmark name when N > 1. parseBench strips it, so a run on a multi-core
+// host gates against a baseline captured on one core (which has no suffix).
+// A sub-benchmark name of its own ending in "-<digits>" would be stripped
+// too; name sub-benchmarks with "=" (k=64) instead.
+var procsSuffixRe = regexp.MustCompile(`-[0-9]+$`)
+
 func parseBench(r io.Reader) (*File, error) {
 	f := &File{}
 	sc := bufio.NewScanner(r)
@@ -94,7 +101,7 @@ func parseBench(r io.Reader) (*File, error) {
 		if err != nil {
 			continue
 		}
-		b := BenchLine{Name: fields[0], Iters: iters}
+		b := BenchLine{Name: procsSuffixRe.ReplaceAllString(fields[0], ""), Iters: iters}
 		ok := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)

@@ -22,6 +22,16 @@ import (
 // breaks weight ties by slot order, so compacting buffers on restore would
 // send the restored sketch down a different collapse schedule than the
 // original ("MRL1" did exactly that, which is why the magic changed).
+// maxEncodedElements caps b·k, the buffer payload a decoded header makes
+// NewSketch allocate before a single value has been read. Every geometry
+// this repo provisions sits well below it: the daemon's default plan
+// (ε=0.001, N=50M) is b=8, k=4371 (35k elements), and the largest plan in
+// the paper's Table 1 (ARS at ε=0.001, N=10^9) is 1.4M elements. Without
+// the cap a header of a hundred bytes, arriving in a checkpoint file or a
+// cluster node's /snapshot body, could demand terabytes and kill the
+// process; with it a corrupt or hostile header costs at most 32 MiB.
+const maxEncodedElements = 1 << 22
+
 const (
 	encMagic   = "MRL2"
 	flagEven   = 1 << 0
@@ -124,7 +134,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if err := rd(&k32); err != nil {
 		return fmt.Errorf("core: truncated sketch encoding: %w", err)
 	}
-	if b32 < 2 || k32 < 1 || b32 > 1<<20 || k32 > 1<<28 {
+	if b32 < 2 || k32 < 1 || b32 > 1<<20 || uint64(b32)*uint64(k32) > maxEncodedElements {
 		return fmt.Errorf("core: implausible sketch geometry b=%d k=%d", b32, k32)
 	}
 	restored, err := NewSketch(int(b32), int(k32), Policy(polByte))

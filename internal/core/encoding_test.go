@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -168,5 +170,31 @@ func TestPropertyEncodingRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodingRejectsOversizeGeometryBeforeAllocating: a header whose b·k
+// exceeds maxEncodedElements is refused before NewSketch allocates the
+// buffers it describes. The geometry here is just over the cap (64 MiB of
+// buffers and scratch if allocated), so a decoder that allocated first would
+// show it in the heap counters; a blob claiming b=2^20, k=2^28 would instead
+// kill the process outright.
+func TestEncodingRejectsOversizeGeometryBeforeAllocating(t *testing.T) {
+	const b, k = 2, maxEncodedElements/2 + 1
+	hdr := []byte(encMagic)
+	hdr = append(hdr, byte(PolicyNew), flagEven)
+	hdr = binary.LittleEndian.AppendUint32(hdr, b)
+	hdr = binary.LittleEndian.AppendUint32(hdr, k)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1) // count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var s Sketch
+	err := s.UnmarshalBinary(hdr)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("oversize geometry accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("rejecting b=%d k=%d allocated %d bytes first, want near zero", b, k, got)
 	}
 }

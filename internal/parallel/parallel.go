@@ -26,8 +26,9 @@ type Result struct {
 	Count int64
 	// ErrorBound is the worst-case rank error of the combined OUTPUT: the
 	// Lemma 5 telescoping applied to the forest of partition trees hanging
-	// off one virtual root. With P partitions it evaluates to
-	// (W - C + P - 2)/2 + wmax over the pooled collapse statistics.
+	// off one virtual root. With R roots it evaluates to
+	// (W - C + R - 2)/2 + wmax over the pooled collapse statistics, where
+	// each partition counts as 1 + Absorbs roots (see CombinedBound).
 	ErrorBound float64
 	// Workers is the number of partitions processed.
 	Workers int
@@ -138,28 +139,32 @@ func CombineSnapshots(snaps []Snapshot, phis []float64) (Result, error) {
 
 // CombinedBound evaluates the combined Lemma 5 certificate of the snapshots
 // without selecting any quantiles: the telescoping applied to the forest of
-// partition trees hanging off one virtual root, (W - C + P - 2)/2 + wmax
-// over the pooled collapse statistics of the P non-empty snapshots.
+// partition trees hanging off one virtual root, (W - C + R - 2)/2 + wmax
+// over the pooled collapse statistics of the non-empty snapshots. R counts
+// roots: a snapshot is one tree, plus one more for every sketch it absorbed,
+// because each absorb concatenated an independently alternating collapse
+// sequence and so weakens the Lemma 1 floor by 1/2 rank, exactly as
+// core.Sketch.ErrorBound charges Absorbs/2. For a single snapshot the
+// result therefore equals the sketch's own ErrorBound.
 func CombinedBound(snaps []Snapshot) float64 {
-	var sumW, sumC, wmax int64
-	workers := 0
+	var sumW, sumC, roots, wmax int64
 	for _, sn := range snaps {
 		if sn.Count == 0 {
 			continue
 		}
 		sumW += sn.Stats.WeightSum
 		sumC += sn.Stats.Collapses
-		workers++
+		roots += 1 + sn.Stats.Absorbs
 		for _, v := range sn.Views {
 			if v.Weight > wmax {
 				wmax = v.Weight
 			}
 		}
 	}
-	if workers == 0 {
+	if roots == 0 {
 		return 0
 	}
-	bound := float64(sumW-sumC+int64(workers)-2)/2 + float64(wmax)
+	bound := float64(sumW-sumC+roots-2)/2 + float64(wmax)
 	if bound < 0 {
 		bound = 0
 	}
@@ -199,7 +204,7 @@ func TwoStage(sketches []*core.Sketch, groupSize, groupKeep int, phis []float64)
 		return Result{}, fmt.Errorf("parallel: group keep %d must be positive", groupKeep)
 	}
 	var groupViews []core.Weighted
-	var count, sumW, sumC int64
+	var count, sumW, sumC, roots int64
 	var extra float64 // bound contribution of the group collapses
 	workers := 0
 
@@ -222,6 +227,7 @@ func TwoStage(sketches []*core.Sketch, groupSize, groupKeep int, phis []float64)
 			st := s.Stats()
 			sumW += st.WeightSum
 			sumC += st.Collapses
+			roots += 1 + st.Absorbs // as in CombinedBound
 			workers++
 		}
 		if len(views) == 0 {
@@ -244,7 +250,7 @@ func TwoStage(sketches []*core.Sketch, groupSize, groupKeep int, phis []float64)
 	if err != nil {
 		return Result{}, err
 	}
-	bound := float64(sumW-sumC+int64(workers)-2)/2 + float64(wmax) + extra
+	bound := float64(sumW-sumC+roots-2)/2 + float64(wmax) + extra
 	if bound < 0 {
 		bound = 0
 	}

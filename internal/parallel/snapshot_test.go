@@ -146,3 +146,45 @@ func TestQuantilesSingleErrorKeepsIndex(t *testing.T) {
 		t.Fatalf("err = %v, want partition 1 named", err)
 	}
 }
+
+// TestCombinedBoundCountsAbsorbs: a sketch that absorbed others carries one
+// independently alternating collapse sequence per absorb, and its own
+// ErrorBound charges Absorbs/2 for them. The combined certificate over that
+// sketch alone must agree exactly, for any number of absorbs.
+func TestCombinedBoundCountsAbsorbs(t *testing.T) {
+	data := shuffledData(6000, 23)
+	parts := Partition(data, 4)
+	sketches := make([]*core.Sketch, len(parts))
+	for i := range sketches {
+		s, err := core.NewSketch(6, 64, core.PolicyNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stream.Each(parts[i], s.Add); err != nil {
+			t.Fatal(err)
+		}
+		sketches[i] = s
+	}
+	root := sketches[0]
+	for absorbs, other := range sketches[1:] {
+		if got, want := CombinedBound([]Snapshot{Snap(root)}), root.ErrorBound(); got != want {
+			t.Fatalf("after %d absorbs: CombinedBound %v, sketch ErrorBound %v", absorbs, got, want)
+		}
+		if err := root.Absorb(other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := root.Stats(); st.Absorbs != 3 {
+		t.Fatalf("Absorbs %d, want 3", st.Absorbs)
+	}
+	if got, want := CombinedBound([]Snapshot{Snap(root)}), root.ErrorBound(); got != want {
+		t.Fatalf("after 3 absorbs: CombinedBound %v, sketch ErrorBound %v", got, want)
+	}
+	res, err := CombineSnapshots([]Snapshot{Snap(root)}, []float64{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ErrorBound != root.ErrorBound() {
+		t.Fatalf("CombineSnapshots bound %v, sketch ErrorBound %v", res.ErrorBound, root.ErrorBound())
+	}
+}

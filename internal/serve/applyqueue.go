@@ -15,8 +15,8 @@ import (
 // apply workers draining per-metric FIFO queues. Decoded batch buffers are
 // handed off by refcounted pooled ownership — the float64 view parsed out
 // of an MRLB frame, or the array a JSON object decoded into, is applied
-// without ever being copied — and adjacent plain batches on the same metric
-// are coalesced into one multi-slice AddBatches call, amortising shard locks
+// without ever being copied — and adjacent batches on the same metric are
+// coalesced into one multi-slice AddBatches call, amortising shard locks
 // across the backlog.
 //
 // Correctness invariants:
@@ -150,9 +150,9 @@ type applyQueue struct {
 	enqueued uint64 // tickets issued (one per enqueued batch)
 	applied  uint64 // tickets applied
 
-	// runScratch is the drainer's coalescing buffer; only the single active
-	// drainer touches it, so no extra locking is needed.
-	runScratch [][]float64
+	// runVs and runWs are the drainer's coalescing buffers; only the single
+	// active drainer touches them, so no extra locking is needed.
+	runVs, runWs [][]float64
 
 	pool *applyPool
 }
@@ -381,47 +381,35 @@ func (p *applyPool) noteError(err error) {
 	p.lastErr.Store(err.Error())
 }
 
-// applyRun applies one FIFO run of batches to the metric, coalescing
-// adjacent plain batches into a single multi-slice AddBatches call (one gen
-// bump, shard locks amortised across the run; element order is preserved, so
-// the result is exactly the sequential application). Buffer references are
-// released as their batches land.
+// applyRun applies one FIFO run of batches to the metric, coalescing every
+// adjacent stretch that shares a replay flag — weighted batches included —
+// into a single metric.apply call (one gen bump, shard locks amortised
+// across the stretch; element order is preserved, so the result is exactly
+// the sequential application). Buffer references are released as their
+// batches land.
 func (m *metric) applyRun(items []applyItem) {
 	pool := m.q.pool
 	for i := 0; i < len(items); {
-		it := items[i]
-		if it.ws != nil {
-			if err := m.applyWeighted(it.vs, it.ws, it.replay); err != nil {
-				pool.noteError(err)
-			}
-			pool.appliedBatches.Add(1)
-			it.buf.release()
-			i++
-			continue
+		replay := items[i].replay
+		vss, wss := m.q.runVs[:0], m.q.runWs[:0]
+		weighted := false
+		j := i
+		for ; j < len(items) && items[j].replay == replay; j++ {
+			vss = append(vss, items[j].vs)
+			wss = append(wss, items[j].ws)
+			weighted = weighted || items[j].ws != nil
 		}
-		j := i + 1
-		for j < len(items) && items[j].ws == nil && items[j].replay == it.replay {
-			j++
+		m.q.runVs, m.q.runWs = vss, wss // keep the grown scratch
+		if !weighted {
+			wss = nil
 		}
-		if j == i+1 {
-			if err := m.applyPlain(it.vs, it.replay); err != nil {
-				pool.noteError(err)
-			}
-			pool.appliedBatches.Add(1)
-			it.buf.release()
-			i++
-			continue
-		}
-		vss := m.q.runScratch[:0]
-		for k := i; k < j; k++ {
-			vss = append(vss, items[k].vs)
-		}
-		if err := m.applyCoalesced(vss, it.replay); err != nil {
+		if err := m.apply(vss, wss, replay); err != nil {
 			pool.noteError(err)
 		}
-		m.q.runScratch = vss[:0]
 		pool.appliedBatches.Add(int64(j - i))
-		pool.coalescedBatches.Add(int64(j - i))
+		if j-i > 1 {
+			pool.coalescedBatches.Add(int64(j - i))
+		}
 		for k := i; k < j; k++ {
 			items[k].buf.release()
 		}

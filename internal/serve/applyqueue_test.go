@@ -128,6 +128,96 @@ func TestAsyncApplyBitIdenticalToSync(t *testing.T) {
 	}
 }
 
+// TestApplyCoalescedWeightedBitIdentical is the coalescing differential for
+// weighted metrics: an interleaved mix of weighted and unweighted batches
+// into a weighted-backend metric at Shards=1, queued with no apply workers so
+// one query drains the whole backlog as a single coalesced run, must leave a
+// byte-identical checkpoint and serve identical /quantile answers (all-time
+// and windowed) to the same batches applied one at a time.
+func TestApplyCoalescedWeightedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(2113))
+	type batch struct{ vs, ws []float64 }
+	batches := make([]batch, 48)
+	for i := range batches {
+		b := batch{vs: make([]float64, 1+rng.Intn(300))}
+		for j := range b.vs {
+			b.vs[j] = rng.NormFloat64() * 100
+		}
+		if rng.Intn(2) == 0 {
+			b.ws = make([]float64, len(b.vs))
+			for j := range b.ws {
+				b.ws[j] = 0.25 + 4*rng.Float64()
+			}
+		}
+		batches[i] = b
+	}
+
+	newSrv := func() (*Registry, *Server) {
+		reg, err := NewRegistry(applyTestConfig()) // Shards: 1, ApplyWorkers: -1
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.EnsureBackend("w", "weighted"); err != nil {
+			t.Fatal(err)
+		}
+		return reg, mustNew(t, reg, Options{})
+	}
+	queuedReg, queued := newSrv()
+	singleReg, single := newSrv()
+	defer queuedReg.Close()
+	defer singleReg.Close()
+	for _, b := range batches {
+		if err := queued.ingest("w", b.vs, b.ws, nil, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.ingest("w", b.vs, b.ws, nil, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		singleReg.drainAll()
+	}
+
+	query := func(srv *Server, windowed bool) string {
+		rec := httptest.NewRecorder()
+		url := fmt.Sprintf("/quantile?metric=w&phi=0,0.1,0.25,0.5,0.75,0.9,1&window=%v", windowed)
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	for _, windowed := range []bool{false, true} {
+		// The first query drains the queued server's whole backlog.
+		if got, want := query(queued, windowed), query(single, windowed); got != want {
+			t.Errorf("windowed=%v: coalesced apply served %s, one-at-a-time %s", windowed, got, want)
+		}
+	}
+	if st := queuedReg.ApplyStatus(); st.CoalescedBatches != int64(len(batches)) || st.AppliedBatches != int64(len(batches)) {
+		t.Fatalf("queued server applied %d batches, %d coalesced; want all %d in one run",
+			st.AppliedBatches, st.CoalescedBatches, len(batches))
+	}
+	if st := singleReg.ApplyStatus(); st.CoalescedBatches != 0 {
+		t.Fatalf("one-at-a-time server coalesced %d batches", st.CoalescedBatches)
+	}
+	want, err := singleReg.encodeCheckpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := queuedReg.encodeCheckpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Error("checkpoint bytes differ between coalesced and one-at-a-time apply")
+	}
+	wantSt, gotSt := singleReg.Status()[0], queuedReg.Status()[0]
+	if wantSt.IngestedValues != gotSt.IngestedValues || wantSt.IngestBatches != gotSt.IngestBatches ||
+		wantSt.Window.Count != gotSt.Window.Count {
+		t.Errorf("coalesced counters %d values / %d batches / %d windowed, one-at-a-time %d / %d / %d",
+			gotSt.IngestedValues, gotSt.IngestBatches, gotSt.Window.Count,
+			wantSt.IngestedValues, wantSt.IngestBatches, wantSt.Window.Count)
+	}
+}
+
 // TestApplyBackpressureShed covers the shed policy: a full queue fails the
 // reservation with ErrApplyBacklog — mapped to 429, so a client retries, on
 // JSON ingest as on binary — and nothing about the queued backlog is

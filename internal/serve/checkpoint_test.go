@@ -122,6 +122,60 @@ func TestCheckpointMergesBaselines(t *testing.T) {
 	checkWithinBound(t, sorted, []float64{0.5}, res.Values, res.ErrorBound, "merged")
 }
 
+// TestCheckpointRestoredBoundCountsAbsorbs: a checkpoint seals a metric's
+// shards into one sketch by absorbing them, so the restored baseline carries
+// Absorbs >= shards-1. After a restart the served all-time bound (query and
+// /metricsz alike) must be that baseline's own certificate, absorbs charged,
+// not half a rank per absorb less.
+func TestCheckpointRestoredBoundCountsAbsorbs(t *testing.T) {
+	cfg := testConfig() // Shards: 2
+	gen1, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen1.Ingest("m", permutation(20_000)); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range gen1.get("m").all.ShardCounts() {
+		if n == 0 {
+			t.Fatalf("shard %d holds no data; the checkpoint would seal without an absorb", i)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gen1.WriteCheckpoint(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	gen2, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	restored := gen2.get("m").snapshotRestored()
+	if len(restored) != 1 {
+		t.Fatalf("restored %d baselines, want 1", len(restored))
+	}
+	if st := restored[0].EstimatorStats(); st.Absorbs < 1 {
+		t.Fatalf("restored baseline has %d absorbs, want >= 1", st.Absorbs)
+	}
+	want, ok := restored[0].ErrorBound()
+	if !ok {
+		t.Fatal("restored baseline certifies no bound")
+	}
+	res, err := gen2.Quantiles("m", []float64{0.5}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ErrorBound != want {
+		t.Fatalf("served all-time bound %v, restored baseline certifies %v", res.ErrorBound, want)
+	}
+	if got := gen2.Status()[0].ErrorBound; got != want {
+		t.Fatalf("/metricsz bound %v, restored baseline certifies %v", got, want)
+	}
+}
+
 func TestCheckpointCorruptionDetected(t *testing.T) {
 	reg, err := NewRegistry(testConfig())
 	if err != nil {

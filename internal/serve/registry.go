@@ -394,75 +394,22 @@ func (r *Registry) Ingest(name string, vs []float64) error {
 	if err != nil {
 		return err
 	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	return m.applyPlain(vs, false)
-}
-
-// applyPlain folds one plain batch into the metric — the single apply path
-// shared by synchronous ingest, the async drainers, and WAL replay (replay
-// bypasses the window ring and counts values as replayed). Values are
-// NaN-free by the caller's validation.
-func (m *metric) applyPlain(vs []float64, replay bool) error {
-	if !replay {
-		m.batches.Add(1)
-	}
-	if len(vs) == 0 {
-		return nil
-	}
-	// The generation moves only once the batch is in: a query racing the
-	// apply then caches under the pre-write generation, which the bump
-	// invalidates (see QuantilesCached).
-	defer m.gen.Add(1)
-	if err := m.all.AddBatch(vs); err != nil {
+	if err := validateBatch(vs, nil); err != nil {
 		return err
 	}
-	if replay {
-		m.replayed.Add(int64(len(vs)))
-		return nil
-	}
-	if m.ring != nil {
-		m.mu.Lock()
-		err := m.ring.AddBatch(vs)
-		m.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	m.ingested.Add(int64(len(vs)))
-	return nil
+	return m.apply([][]float64{vs}, nil, false)
 }
 
-// applyWeighted is applyPlain for weighted batches; the window ring is
-// bypassed (it summarises unweighted recency).
-func (m *metric) applyWeighted(vs, ws []float64, replay bool) error {
-	if !replay {
-		m.batches.Add(1)
-	}
-	if len(vs) == 0 {
-		return nil
-	}
-	defer m.gen.Add(1) // after the mutation; see applyPlain
-	if err := m.all.AddWeightedBatch(vs, ws); err != nil {
-		return err
-	}
-	if replay {
-		m.replayed.Add(int64(len(vs)))
-	} else {
-		m.ingested.Add(int64(len(vs)))
-	}
-	return nil
-}
-
-// applyCoalesced folds a run of adjacent plain batches in one multi-slice
-// AddBatch pass: one generation bump and one walk over the shard locks for
-// the whole run. Element order across the slices is exactly the FIFO order
-// the batches were acked in, so the result is identical to applying them one
-// by one.
-func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
+// apply folds a run of batches into the metric in one multi-slice
+// AddBatches pass — the single apply path shared by synchronous ingest, the
+// async drainers and WAL replay. wss is nil for a run without weights,
+// else parallel to vss with nil entries for unweighted batches. Replay
+// bypasses the window ring and counts values as replayed; the ring only
+// ever takes unweighted batches (it summarises unweighted recency). Element
+// order across the slices is exactly the order given, so the result is
+// identical to applying the batches one by one. Batches are validated by
+// the caller.
+func (m *metric) apply(vss, wss [][]float64, replay bool) error {
 	var n int64
 	for _, vs := range vss {
 		n += int64(len(vs))
@@ -473,8 +420,11 @@ func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
 	if n == 0 {
 		return nil
 	}
-	defer m.gen.Add(1) // after the mutation; see applyPlain
-	if err := m.all.AddBatches(vss); err != nil {
+	// The generation moves only once the batches are in: a query racing the
+	// apply then caches under the pre-write generation, which the bump
+	// invalidates (see QuantilesCached).
+	defer m.gen.Add(1)
+	if err := m.all.AddBatches(vss, wss); err != nil {
 		return err
 	}
 	if replay {
@@ -483,8 +433,8 @@ func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
 	}
 	if m.ring != nil {
 		m.mu.Lock()
-		for _, vs := range vss {
-			if len(vs) == 0 {
+		for i, vs := range vss {
+			if len(vs) == 0 || (wss != nil && wss[i] != nil) {
 				continue
 			}
 			if err := m.ring.AddBatch(vs); err != nil {
@@ -498,9 +448,18 @@ func (m *metric) applyCoalesced(vss [][]float64, replay bool) error {
 	return nil
 }
 
-// validateWeights checks that ws pairs up with vs and every weight is
-// positive and finite (the weighted summary's ingest contract).
-func validateWeights(vs, ws []float64) error {
+// validateBatch checks that vs is free of NaN and, for a weighted batch (ws
+// non-nil), that ws pairs up with vs and every weight is positive and finite
+// (the weighted summary's ingest contract).
+func validateBatch(vs, ws []float64) error {
+	for i, v := range vs {
+		if math.IsNaN(v) {
+			return fmt.Errorf("%w (element %d)", ErrNaN, i)
+		}
+	}
+	if ws == nil {
+		return nil
+	}
 	if len(ws) != len(vs) {
 		return fmt.Errorf("%w: %d values but %d weights", ErrWeightMismatch, len(vs), len(ws))
 	}
@@ -536,15 +495,7 @@ func (r *Registry) ValidateIngest(name string, vs, ws []float64) error {
 			return fmt.Errorf("%w: metric %q", ErrWeightsUnsupported, name)
 		}
 	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	if ws != nil {
-		return validateWeights(vs, ws)
-	}
-	return nil
+	return validateBatch(vs, ws)
 }
 
 // walRecordName is the WAL record name for a plain batch into the named
@@ -589,15 +540,7 @@ func (r *Registry) resolveReplay(name string, vs []float64) (*metric, []float64,
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		for i, v := range values {
-			if math.IsNaN(v) {
-				return nil, nil, nil, fmt.Errorf("%w (element %d)", ErrNaN, i)
-			}
-		}
-		if err := validateWeights(values, weights); err != nil {
-			return nil, nil, nil, err
-		}
-		return m, values, weights, nil
+		return m, values, weights, validateBatch(values, weights)
 	}
 	var m *metric
 	var err error
@@ -617,12 +560,7 @@ func (r *Registry) resolveReplay(name string, vs []float64) (*metric, []float64,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return nil, nil, nil, fmt.Errorf("%w (element %d)", ErrNaN, i)
-		}
-	}
-	return m, vs, nil, nil
+	return m, vs, nil, validateBatch(vs, nil)
 }
 
 // EnqueueReplay folds one recovered WAL record into its metric through the
@@ -674,7 +612,7 @@ func (r *Registry) Rotate(name string) error {
 	m.mu.Lock()
 	err := m.ring.Rotate()
 	m.mu.Unlock()
-	m.gen.Add(1) // after the mutation; see applyPlain
+	m.gen.Add(1) // after the mutation; see apply
 	return err
 }
 
@@ -691,7 +629,7 @@ func (r *Registry) RotateAll() ([]string, error) {
 		m.mu.Lock()
 		err := m.ring.Rotate()
 		m.mu.Unlock()
-		m.gen.Add(1) // after the mutation; see applyPlain
+		m.gen.Add(1) // after the mutation; see apply
 		if err != nil {
 			return rotated, fmt.Errorf("serve: rotating %q: %w", name, err)
 		}

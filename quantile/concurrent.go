@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"mrl/internal/core"
-	"mrl/internal/parallel"
 	"mrl/internal/params"
 )
 
@@ -49,14 +48,12 @@ type ConcurrentConfig struct {
 	Seed int64
 }
 
-// concurrentShard pairs one private summary with its own lock. MRL shards
-// hold a core sketch in sk (the zero-allocation hot path); other backends
-// hold their estimator in est, with sk nil. The padding keeps neighbouring
+// concurrentShard pairs one private estimator with its own lock: a *Sketch
+// for MRL, a *KLL or *Weighted otherwise. The padding keeps neighbouring
 // shard headers on distinct cache lines so that writers hammering
 // different shards do not false-share.
 type concurrentShard struct {
 	mu  sync.Mutex
-	sk  *core.Sketch
 	est Estimator
 	_   [40]byte
 }
@@ -170,7 +167,7 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		if err != nil {
 			return nil, err
 		}
-		shards[i] = &concurrentShard{sk: sk}
+		shards[i] = &concurrentShard{est: &Sketch{det: sk}}
 	}
 	return &Concurrent{shards: shards, policy: cfg.Policy, backend: BackendMRL, perDesc: perDesc}, nil
 }
@@ -207,12 +204,7 @@ func (c *Concurrent) acquire() *concurrentShard {
 // Add consumes one stream element. NaN is rejected. Safe for concurrent use.
 func (c *Concurrent) Add(v float64) error {
 	sh := c.acquire()
-	var err error
-	if sh.sk != nil {
-		err = sh.sk.Add(v)
-	} else {
-		err = sh.est.Add(v)
-	}
+	err := sh.est.Add(v)
 	sh.mu.Unlock()
 	return err
 }
@@ -226,70 +218,64 @@ func (c *Concurrent) Add(v float64) error {
 // of concurrent batches interleave freely, which quantile answers are
 // insensitive to.
 func (c *Concurrent) AddBatch(vs []float64) error {
-	// An empty batch is a complete no-op: return before the NaN scan and
-	// before any shard acquisition, so empty flushes from batching pipelines
-	// never contend with real writers.
-	n := len(vs)
-	if n == 0 {
-		return nil
-	}
-	for i, v := range vs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("quantile: element %d: NaN has no rank and cannot be added", i)
-		}
-	}
-	chunks := (n + concurrentMinChunk - 1) / concurrentMinChunk
-	if chunks > len(c.shards) {
-		chunks = len(c.shards)
-	}
-	per := n / chunks
-	extra := n % chunks
-	pos := 0
-	for i := 0; i < chunks; i++ {
-		sz := per
-		if i < extra {
-			sz++
-		}
-		sh := c.acquire()
-		var err error
-		if sh.sk != nil {
-			err = sh.sk.AddBatch(vs[pos : pos+sz])
-		} else {
-			err = sh.est.AddBatch(vs[pos : pos+sz])
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		pos += sz
-	}
-	return nil
+	return c.AddBatches([][]float64{vs}, nil)
 }
 
-// AddBatches consumes several batches in one pass — the coalesced entry
-// point for apply pipelines draining a backlog of same-metric batches. The
-// total element count is split into per-shard chunks exactly like one big
-// AddBatch (chunks may span slice boundaries; a chunk applies its slices
-// back to back under one shard lock), so shard locks and routing are
-// amortised over the whole backlog instead of paid per batch. Element order
-// within and across slices is preserved per chunk, and every backend's
-// AddBatch leaves exactly the state an element-by-element loop would, so at
-// one shard the result is bit-identical to calling AddBatch once per slice
-// in order. All-or-nothing: a NaN anywhere rejects every slice untouched.
-func (c *Concurrent) AddBatches(vss [][]float64) error {
+// AddWeightedBatch consumes parallel value/weight slices on a
+// BackendWeighted sketch, splitting large batches across shards like
+// AddBatch. The batch is all-or-nothing: a NaN value or a non-positive or
+// non-finite weight anywhere rejects the whole batch before any shard
+// consumes an element. Safe for concurrent use.
+func (c *Concurrent) AddWeightedBatch(vs, ws []float64) error {
+	return c.AddBatches([][]float64{vs}, [][]float64{ws})
+}
+
+// AddBatches consumes several batches in one pass — the one splitter behind
+// AddBatch and AddWeightedBatch, and the coalesced entry point for apply
+// pipelines draining a backlog of same-metric batches. wss, when non-nil,
+// carries per-value weights parallel to vss and needs the BackendWeighted
+// sketch; a nil wss[i] means unit weights for batch i. The total element
+// count is split into per-shard chunks (chunks may span slice boundaries; a
+// chunk applies its slices back to back under one shard lock), so shard
+// locks and routing are amortised over the whole backlog instead of paid per
+// batch. Element order within and across slices is preserved per chunk, and
+// every backend's batch ingest leaves exactly the state an element-by-element
+// loop would, so at one shard the result is bit-identical to applying the
+// batches one by one in order. All-or-nothing: a NaN or an invalid weight
+// anywhere rejects every slice untouched, and an empty call is a no-op that
+// acquires no shard.
+func (c *Concurrent) AddBatches(vss, wss [][]float64) error {
+	if wss != nil {
+		if c.backend != BackendWeighted {
+			return fmt.Errorf("quantile: weighted batches need the %q backend; this sketch runs %q", BackendWeighted, c.backend)
+		}
+		if len(wss) != len(vss) {
+			return fmt.Errorf("quantile: %d batches but %d weight slices", len(vss), len(wss))
+		}
+	}
 	n := 0
-	for _, vs := range vss {
-		n += len(vs)
-	}
-	if n == 0 {
-		return nil
-	}
 	for si, vs := range vss {
+		n += len(vs)
 		for i, v := range vs {
 			if math.IsNaN(v) {
 				return fmt.Errorf("quantile: batch %d element %d: NaN has no rank and cannot be added", si, i)
 			}
 		}
+		ws := weightsAt(wss, si)
+		if ws == nil {
+			continue
+		}
+		if len(ws) != len(vs) {
+			return fmt.Errorf("quantile: batch %d: %d values but %d weights", si, len(vs), len(ws))
+		}
+		for i, w := range ws {
+			if !(w > 0) || math.IsInf(w, 0) {
+				return fmt.Errorf("quantile: batch %d element %d: weight %v must be positive and finite", si, i, w)
+			}
+		}
+	}
+	if n == 0 {
+		return nil
 	}
 	chunks := (n + concurrentMinChunk - 1) / concurrentMinChunk
 	if chunks > len(c.shards) {
@@ -309,16 +295,12 @@ func (c *Concurrent) AddBatches(vss [][]float64) error {
 				si++
 				so = 0
 			}
-			take := len(vss[si]) - so
-			if take > rem {
-				take = rem
-			}
-			seg := vss[si][so : so+take]
+			take := min(len(vss[si])-so, rem)
 			var err error
-			if sh.sk != nil {
-				err = sh.sk.AddBatch(seg)
+			if ws := weightsAt(wss, si); ws != nil {
+				err = sh.est.(*Weighted).AddWeightedBatch(vss[si][so:so+take], ws[so:so+take])
 			} else {
-				err = sh.est.AddBatch(seg)
+				err = sh.est.AddBatch(vss[si][so : so+take])
 			}
 			if err != nil {
 				sh.mu.Unlock()
@@ -332,45 +314,21 @@ func (c *Concurrent) AddBatches(vss [][]float64) error {
 	return nil
 }
 
-// snapshots freezes every shard in turn, each under its own lock. The cut is
-// per-shard atomic, not global: elements added concurrently with the loop
-// may or may not be included, which is the usual (and only meaningful)
-// read-during-write contract for a streaming summary.
-func (c *Concurrent) snapshots() []parallel.Snapshot {
-	snaps := make([]parallel.Snapshot, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		snaps[i] = parallel.Snap(sh.sk)
-		sh.mu.Unlock()
+// weightsAt returns batch i's weights, nil for a unit-weight batch.
+func weightsAt(wss [][]float64, i int) []float64 {
+	if wss == nil {
+		return nil
 	}
-	return snaps
+	return wss[i]
 }
 
 // QuantilesWithBound answers many quantiles over the union of all shards in
-// one combined OUTPUT pass, returning the estimates parallel to phis and the
+// one combined pass, returning the estimates parallel to phis and the
 // combined worst-case rank error certified for them (divide by Count for the
 // epsilon it certifies).
 func (c *Concurrent) QuantilesWithBound(phis []float64) (values []float64, errorBound float64, err error) {
-	if c.backend != BackendMRL {
-		combined, err := c.combineEstimators(nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		if combined == nil {
-			return nil, 0, ErrEmpty
-		}
-		values, err := combined.Quantiles(phis)
-		if err != nil {
-			return nil, 0, err
-		}
-		bound, _ := combined.ErrorBound()
-		return values, bound, nil
-	}
-	res, err := parallel.CombineSnapshots(c.snapshots(), phis)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Values, res.ErrorBound, nil
+	values, errorBound, _, err = c.CombineEstimators(nil, phis)
+	return values, errorBound, err
 }
 
 // Quantiles answers many quantiles in one combined pass; the result is
@@ -394,62 +352,34 @@ func (c *Concurrent) Quantile(phi float64) (float64, error) {
 func (c *Concurrent) Median() (float64, error) { return c.Quantile(0.5) }
 
 // ErrorBound returns the current combined worst-case rank error of any
-// reported quantile, certified by the pooled Lemma 5 accounting of all
-// shards for the collapses that have actually happened.
-func (c *Concurrent) ErrorBound() float64 {
-	if c.backend != BackendMRL {
-		combined, err := c.combineEstimators(nil)
-		if err != nil || combined == nil {
-			return 0
-		}
-		bound, _ := combined.ErrorBound()
-		return bound
-	}
-	return parallel.CombinedBound(c.snapshots())
-}
+// reported quantile, certified for the data actually consumed (for MRL, the
+// pooled Lemma 5 accounting of all shards).
+func (c *Concurrent) ErrorBound() float64 { return c.BoundEstimators(nil) }
 
 // Count returns the number of stream elements consumed across all shards.
 func (c *Concurrent) Count() int64 {
 	var total int64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if sh.sk != nil {
-			total += sh.sk.Count()
-		} else {
-			total += sh.est.Count()
-		}
+		total += sh.est.Count()
 		sh.mu.Unlock()
 	}
 	return total
 }
 
 // Min returns the exact minimum consumed so far.
-func (c *Concurrent) Min() (float64, error) {
-	return c.extreme(func(sh *concurrentShard) (float64, error) {
-		if sh.sk != nil {
-			return sh.sk.Min()
-		}
-		return sh.est.Min()
-	}, math.Min)
-}
+func (c *Concurrent) Min() (float64, error) { return c.extreme(Estimator.Min, math.Min) }
 
 // Max returns the exact maximum consumed so far.
-func (c *Concurrent) Max() (float64, error) {
-	return c.extreme(func(sh *concurrentShard) (float64, error) {
-		if sh.sk != nil {
-			return sh.sk.Max()
-		}
-		return sh.est.Max()
-	}, math.Max)
-}
+func (c *Concurrent) Max() (float64, error) { return c.extreme(Estimator.Max, math.Max) }
 
-func (c *Concurrent) extreme(get func(*concurrentShard) (float64, error), pick func(float64, float64) float64) (float64, error) {
+func (c *Concurrent) extreme(get func(Estimator) (float64, error), pick func(float64, float64) float64) (float64, error) {
 	best := math.NaN()
 	seen := false
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if sh.count() > 0 {
-			v, err := get(sh)
+		if sh.est.Count() > 0 {
+			v, err := get(sh.est)
 			if err != nil {
 				sh.mu.Unlock()
 				return math.NaN(), err
@@ -468,14 +398,6 @@ func (c *Concurrent) extreme(get func(*concurrentShard) (float64, error), pick f
 	return best, nil
 }
 
-// count reads the shard's element count; the caller holds the shard lock.
-func (sh *concurrentShard) count() int64 {
-	if sh.sk != nil {
-		return sh.sk.Count()
-	}
-	return sh.est.Count()
-}
-
 // Shards returns the number of writer shards.
 func (c *Concurrent) Shards() int { return len(c.shards) }
 
@@ -484,10 +406,6 @@ func (c *Concurrent) Shards() int { return len(c.shards) }
 func (c *Concurrent) MemoryElements() int {
 	total := 0
 	for _, sh := range c.shards {
-		if sh.sk != nil {
-			total += sh.sk.MemoryElements()
-			continue
-		}
 		sh.mu.Lock()
 		total += sh.est.EstimatorStats().MemoryElements
 		sh.mu.Unlock()
@@ -503,7 +421,7 @@ func (c *Concurrent) ShardCounts() []int64 {
 	counts := make([]int64, len(c.shards))
 	for i, sh := range c.shards {
 		sh.mu.Lock()
-		counts[i] = sh.count()
+		counts[i] = sh.est.Count()
 		sh.mu.Unlock()
 	}
 	return counts
@@ -538,7 +456,7 @@ func (c *Concurrent) Stats() IngestStats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		st := sh.sk.Stats()
+		st := sh.est.(*Sketch).det.Stats()
 		sh.mu.Unlock()
 		out.Leaves += st.Leaves
 		out.Collapses += st.Collapses
@@ -558,11 +476,7 @@ func (c *Concurrent) Stats() IngestStats {
 func (c *Concurrent) Reset() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if sh.sk != nil {
-			sh.sk.Reset()
-		} else {
-			_ = sh.est.Reset() // non-MRL estimators never fail Reset
-		}
+		_ = sh.est.Reset() // shards are never sampled, so Reset never fails
 		sh.mu.Unlock()
 	}
 }

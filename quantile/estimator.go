@@ -435,16 +435,9 @@ func cloneEstimator(e Estimator) (Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fresh Estimator
-	switch e.(type) {
-	case *Sketch:
-		fresh = &Sketch{}
-	case *KLL:
-		fresh = &KLL{}
-	case *Weighted:
-		fresh = &Weighted{}
-	default:
-		return nil, fmt.Errorf("quantile: cannot clone estimator type %T", e)
+	fresh, err := EmptyEstimator(e.EstimatorStats().Backend)
+	if err != nil {
+		return nil, err
 	}
 	if err := fresh.UnmarshalBinary(blob); err != nil {
 		return nil, err

@@ -1,11 +1,6 @@
 package quantile
 
-import (
-	"errors"
-	"fmt"
-
-	"mrl/internal/parallel"
-)
+import "fmt"
 
 // EstimatorSnapshot is one frozen part of an estimator's state in
 // transferable form: the backend tag, the element count the blob covers,
@@ -37,18 +32,12 @@ func (c *Concurrent) EstimatorSnapshots() ([]EstimatorSnapshot, error) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		var (
-			count int64
-			blob  []byte
-			err   error
+			blob []byte
+			err  error
 		)
-		if sh.sk != nil {
-			if count = sh.sk.Count(); count > 0 {
-				blob, err = sh.sk.MarshalBinary()
-			}
-		} else {
-			if count = sh.est.Count(); count > 0 {
-				blob, err = sh.est.MarshalBinary()
-			}
+		count := sh.est.Count()
+		if count > 0 {
+			blob, err = sh.est.MarshalBinary()
 		}
 		sh.mu.Unlock()
 		if err != nil {
@@ -66,25 +55,11 @@ func (c *Concurrent) EstimatorSnapshots() ([]EstimatorSnapshot, error) {
 // checkpoint baseline — as a transferable snapshot. Sampled MRL sketches
 // cannot be serialised and are refused.
 func SnapshotEstimator(e Estimator) (EstimatorSnapshot, error) {
-	var b Backend
-	switch est := e.(type) {
-	case *Sketch:
-		if est.Sampled() {
-			return EstimatorSnapshot{}, errors.New("quantile: sampled sketches cannot be snapshotted")
-		}
-		b = BackendMRL
-	case *KLL:
-		b = BackendKLL
-	case *Weighted:
-		b = BackendWeighted
-	default:
-		return EstimatorSnapshot{}, fmt.Errorf("quantile: cannot snapshot estimator %T", e)
-	}
 	blob, err := e.MarshalBinary()
 	if err != nil {
 		return EstimatorSnapshot{}, err
 	}
-	return EstimatorSnapshot{Backend: b, Count: e.Count(), Blob: blob}, nil
+	return EstimatorSnapshot{Backend: e.EstimatorStats().Backend, Count: e.Count(), Blob: blob}, nil
 }
 
 // RestoreEstimatorSnapshot rebuilds a live estimator from a snapshot and
@@ -107,9 +82,10 @@ func RestoreEstimatorSnapshot(snap EstimatorSnapshot) (Estimator, error) {
 
 // CombineEstimatorSnapshots answers quantiles over the union of the given
 // snapshots — the coordinator's scatter/gather merge. All parts must share
-// one backend. For MRL the parts feed the §4.9 combined OUTPUT phase
-// directly, so the returned bound is the exact pooled Lemma 5 accounting
-// over every part; for the other backends the parts are absorbed into one
+// one backend, and they combine by the same rule as a Concurrent's shards:
+// for MRL the parts feed the §4.9 combined OUTPUT phase directly, so the
+// returned bound is the exact pooled Lemma 5 accounting over every part;
+// for the other backends the restored parts are absorbed into one
 // estimator and answered with its a-posteriori bound. It returns the
 // estimates parallel to phis, the combined rank-error bound, and the total
 // element count the answers cover; all-empty input returns ErrEmpty.
@@ -124,11 +100,14 @@ func CombineEstimatorSnapshots(snaps []EstimatorSnapshot, phis []float64) (value
 	if len(live) == 0 {
 		return nil, 0, 0, ErrEmpty
 	}
-	backend := live[0].Backend
 	for _, s := range live[1:] {
-		if s.Backend != backend {
-			return nil, 0, 0, fmt.Errorf("quantile: cannot combine %q and %q snapshots", backend, s.Backend)
+		if s.Backend != live[0].Backend {
+			return nil, 0, 0, fmt.Errorf("quantile: cannot combine %q and %q snapshots", live[0].Backend, s.Backend)
 		}
+	}
+	backend, err := ParseBackend(string(live[0].Backend))
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	ests := make([]Estimator, len(live))
 	for i, s := range live {
@@ -138,29 +117,15 @@ func CombineEstimatorSnapshots(snaps []EstimatorSnapshot, phis []float64) (value
 		}
 		ests[i] = e
 	}
-	if backend == BackendMRL || backend == "" {
-		parts := make([]parallel.Snapshot, len(ests))
-		for i, e := range ests {
-			parts[i] = parallel.Snap(e.(*Sketch).det)
+	// The restored parts are private copies, so the fold may absorb into
+	// them without cloning.
+	parts := func(visit func(Estimator) error) error {
+		for _, e := range ests {
+			if err := visit(e); err != nil {
+				return err
+			}
 		}
-		res, err := parallel.CombineSnapshots(parts, phis)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return res.Values, res.ErrorBound, res.Count, nil
+		return nil
 	}
-	// Uniform non-MRL: fold the restored parts (already private copies)
-	// and answer with the combined a-posteriori bound.
-	root := ests[0]
-	for _, e := range ests[1:] {
-		if err := root.Absorb(e); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	values, err = root.Quantiles(phis)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	bound, _ := root.ErrorBound()
-	return values, bound, root.Count(), nil
+	return combine(backend, parts, true, true, phis)
 }
