@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
-	"strings"
 
+	"mrl/internal/serve"
 	"mrl/quantile"
 )
 
@@ -70,26 +68,6 @@ func statusFor(err error) int {
 	}
 }
 
-// parsePhis parses a comma-separated phi list, e.g. "0.5,0.99,0.999".
-func parsePhis(raw string) ([]float64, error) {
-	if raw == "" {
-		return nil, errors.New("cluster: missing phi parameter")
-	}
-	parts := strings.Split(raw, ",")
-	phis := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		phi, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bad phi %q: %w", p, err)
-		}
-		if math.IsNaN(phi) || phi < 0 || phi > 1 {
-			return nil, fmt.Errorf("cluster: phi %v outside [0,1]", phi)
-		}
-		phis = append(phis, phi)
-	}
-	return phis, nil
-}
-
 // Handler returns the coordinator's route table. It mirrors a node's
 // ingest/query surface — a client pointed at a coordinator instead of a
 // node keeps working — with the cluster certificate fields added to
@@ -146,7 +124,7 @@ func (c *Coordinator) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	phis, err := parsePhis(q.Get("phi"))
+	phis, err := serve.ParsePhis(q.Get("phi"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -66,6 +67,39 @@ func BenchmarkQuantiles(b *testing.B) {
 			}
 		})
 	}
+
+	// The served geometry: quantiled's plan at epsilon 0.001 and N 50M is
+	// b=8, k=4371, and a query selects over the final buffers of two shards.
+	var views []Weighted
+	var count int64
+	for shard := int64(0); shard < 2; shard++ {
+		sh, err := NewSketch(8, 4371, PolicyNew)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sh.AddBatch(benchData(1<<21, 3+shard)); err != nil {
+			b.Fatal(err)
+		}
+		v, err := sh.FinalBuffersRaw()
+		if err != nil {
+			b.Fatal(err)
+		}
+		views = append(views, v...)
+		count += sh.Count()
+	}
+	phis := []float64{0.01, 0.25, 0.75, 0.999}
+	b.Run(fmt.Sprintf("b=8/k=4371/shards=2/q=%d", len(phis)), func(b *testing.B) {
+		var sel Selector
+		ranks := make([]int64, len(phis))
+		out := make([]float64, len(phis))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j, phi := range phis {
+				ranks[j] = int64(math.Ceil(phi * float64(count)))
+			}
+			sel.SelectRanks(views, ranks, out)
+		}
+	})
 }
 
 // BenchmarkRank measures the cost of a rank/CDF probe.

@@ -58,16 +58,26 @@ func SelectInMerge(bufs []Weighted, targets []int64) []float64 {
 	return out
 }
 
-// mergeScratch holds the cursor state of one weighted-merge selection so
-// repeated selections (every COLLAPSE and every query of a sketch) reuse it
-// instead of allocating per call.
-type mergeScratch struct {
-	heads []int
+// Selector holds the cursor state of weighted-merge selections so repeated
+// selections (every COLLAPSE and every query of a sketch) reuse it instead
+// of allocating per call. The zero value is ready to use; a Selector is not
+// safe for concurrent use.
+type Selector struct {
+	heads []int // merge cursors; the low ends of rank-search windows
 	heap  []mergeHead
+	hi    []int // high ends of rank-search windows
+	cut   []int // per-run rank of the current rank-search pivot
+
+	// SelectRanks' sorted copy of the ranks, their original indices, and
+	// the selections in sorted order.
+	tgts   []int64
+	idx    []int
+	picked []float64
+	sorter tgtSorter
 }
 
 // headsFor returns a zeroed cursor slice of length n.
-func (m *mergeScratch) headsFor(n int) []int {
+func (m *Selector) headsFor(n int) []int {
 	if cap(m.heads) < n {
 		m.heads = make([]int, n)
 		return m.heads
@@ -80,7 +90,7 @@ func (m *mergeScratch) headsFor(n int) []int {
 }
 
 // heapFor returns an empty heap buffer with capacity for n entries.
-func (m *mergeScratch) heapFor(n int) []mergeHead {
+func (m *Selector) heapFor(n int) []mergeHead {
 	if cap(m.heap) < n {
 		m.heap = make([]mergeHead, 0, n)
 	}
@@ -98,14 +108,14 @@ const mergeHeapThreshold = 8
 // have the same length as targets. Cursor state is allocated per call; the
 // sketch hot paths use selectInMergeScratch instead.
 func selectInMerge(bufs []Weighted, targets []int64, out []float64) {
-	var sc mergeScratch
+	var sc Selector
 	selectInMergeScratch(bufs, targets, out, &sc)
 }
 
 // selectInMergeScratch is selectInMerge with caller-owned cursor state: at
 // steady state (scratch already grown to the sketch's buffer count) a
 // selection performs zero allocations.
-func selectInMergeScratch(bufs []Weighted, targets []int64, out []float64, sc *mergeScratch) {
+func selectInMergeScratch(bufs []Weighted, targets []int64, out []float64, sc *Selector) {
 	if len(targets) == 0 {
 		return
 	}
@@ -179,7 +189,7 @@ func headLess(a, b mergeHead) bool {
 
 // selectInMergeHeap is the wide-merge variant of selectInMerge: a binary
 // min-heap over the buffer fronts.
-func selectInMergeHeap(bufs []Weighted, targets []int64, out []float64, sc *mergeScratch) {
+func selectInMergeHeap(bufs []Weighted, targets []int64, out []float64, sc *Selector) {
 	heads := sc.headsFor(len(bufs))
 	h := sc.heapFor(len(bufs))
 	for i, b := range bufs {

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -39,13 +39,19 @@ const (
 	flagFill   = 1 << 2
 )
 
+// Fixed sizes of the encoding: the header through the fill-buffer trailer,
+// and the per-full-buffer header (slot, weight, level).
+const (
+	encFixedLen     = 4 + 1 + 1 + 4 + 4 + 3*8 + 7*8 + 4 + 4 + 4 + 4
+	encBufHeaderLen = 4 + 8 + 4
+)
+
 // MarshalBinary serialises the complete sketch state. A restored sketch
 // continues exactly where the original stopped: same answers, same error
 // bound, same future collapse schedule. This is the wire format for
-// shipping partition summaries between nodes of a distributed plan.
+// shipping partition summaries between nodes of a distributed plan. The
+// output is allocated once, at its exact size.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(encMagic)
 	var flags byte
 	if s.evenHigh {
 		flags |= flagEven
@@ -53,87 +59,134 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	if s.noAlternation {
 		flags |= flagFrozen
 	}
-	if s.fill != nil && len(s.fill.data) > 0 {
+	hasFill := s.fill != nil && len(s.fill.data) > 0
+	if hasFill {
 		flags |= flagFill
 	}
-	buf.WriteByte(byte(s.policy))
-	buf.WriteByte(flags)
-	w := func(v interface{}) {
-		// bytes.Buffer writes cannot fail.
-		_ = binary.Write(&buf, binary.LittleEndian, v)
-	}
-	w(uint32(s.b))
-	w(uint32(s.k))
-	w(s.count)
-	w(s.min)
-	w(s.max)
-	w(s.stats.Leaves)
-	w(s.stats.Collapses)
-	w(s.stats.WeightSum)
-	w(s.stats.MaxCollapseWeight)
-	w(s.stats.OffsetSum)
-	w(s.stats.Absorbs)
-	w(s.stats.Fallbacks)
-
+	size := encFixedLen
 	nFull := 0
 	for _, b := range s.bufs {
 		if b.full {
 			nFull++
+			size += encBufHeaderLen + 8*len(b.data)
 		}
 	}
-	w(uint32(nFull))
+	if hasFill {
+		size += 8 * len(s.fill.data)
+	}
+
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, encMagic...)
+	buf = append(buf, byte(s.policy), flags)
+	buf = le.AppendUint32(buf, uint32(s.b))
+	buf = le.AppendUint32(buf, uint32(s.k))
+	buf = le.AppendUint64(buf, uint64(s.count))
+	buf = le.AppendUint64(buf, math.Float64bits(s.min))
+	buf = le.AppendUint64(buf, math.Float64bits(s.max))
+	for _, v := range []int64{
+		s.stats.Leaves, s.stats.Collapses, s.stats.WeightSum,
+		s.stats.MaxCollapseWeight, s.stats.OffsetSum, s.stats.Absorbs, s.stats.Fallbacks,
+	} {
+		buf = le.AppendUint64(buf, uint64(v))
+	}
+	buf = le.AppendUint32(buf, uint32(nFull))
 	for i, b := range s.bufs {
 		if b.full {
-			w(uint32(i))
-			w(b.weight)
-			w(int32(b.level))
-			w(b.data)
+			buf = le.AppendUint32(buf, uint32(i))
+			buf = le.AppendUint64(buf, uint64(b.weight))
+			buf = le.AppendUint32(buf, uint32(int32(b.level)))
+			buf = appendFloats(buf, b.data)
 		}
 	}
-	if flags&flagFill != 0 {
-		fillSlot := uint32(0)
+	var fillSlot, fillLen uint32
+	var fillLevel int32
+	if hasFill {
 		for i, b := range s.bufs {
 			if b == s.fill {
 				fillSlot = uint32(i)
 			}
 		}
-		w(fillSlot)
-		w(uint32(len(s.fill.data)))
-		w(int32(s.fill.level))
-		w(s.fill.data)
-	} else {
-		w(uint32(0))
-		w(uint32(0))
-		w(int32(0))
+		fillLen = uint32(len(s.fill.data))
+		fillLevel = int32(s.fill.level)
 	}
-	return buf.Bytes(), nil
+	buf = le.AppendUint32(buf, fillSlot)
+	buf = le.AppendUint32(buf, fillLen)
+	buf = le.AppendUint32(buf, uint32(fillLevel))
+	if hasFill {
+		buf = appendFloats(buf, s.fill.data)
+	}
+	return buf, nil
 }
+
+// appendFloats appends vs as little-endian IEEE-754 bit patterns.
+func appendFloats(buf []byte, vs []float64) []byte {
+	for _, v := range vs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
+// decoder reads the little-endian fields of an encoding in order. A read
+// past the end returns zero and sets short; callers check it at the same
+// points the format's validation runs, so a truncated blob reports
+// truncation rather than a bogus field.
+type decoder struct {
+	data  []byte
+	short bool
+}
+
+func (d *decoder) take(n int) []byte {
+	if len(d.data) < n {
+		d.short = true
+		d.data = nil
+		return nil
+	}
+	b := d.data[:n]
+	d.data = d.data[n:]
+	return b
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (d *decoder) u64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// floats decodes len(dst) floats straight into dst.
+func (d *decoder) floats(dst []float64) {
+	b := d.take(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+var errTruncated = fmt.Errorf("core: truncated sketch encoding: %w", io.ErrUnexpectedEOF)
 
 // UnmarshalBinary restores a sketch serialised by MarshalBinary. The
 // receiver's previous state is discarded.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic := make([]byte, 4)
-	if _, err := r.Read(magic); err != nil || string(magic) != encMagic {
+	if len(data) < len(encMagic) || string(data[:len(encMagic)]) != encMagic {
 		return errors.New("core: bad sketch encoding magic")
 	}
-	var polByte, flags byte
-	var err error
-	if polByte, err = r.ReadByte(); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
+	d := decoder{data: data[len(encMagic):]}
+	head := d.take(2)
+	b32, k32 := d.u32(), d.u32()
+	if d.short {
+		return errTruncated
 	}
-	if flags, err = r.ReadByte(); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
-	}
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-
-	var b32, k32 uint32
-	if err := rd(&b32); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
-	}
-	if err := rd(&k32); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
-	}
+	polByte, flags := head[0], head[1]
 	if b32 < 2 || k32 < 1 || b32 > 1<<20 || uint64(b32)*uint64(k32) > maxEncodedElements {
 		return fmt.Errorf("core: implausible sketch geometry b=%d k=%d", b32, k32)
 	}
@@ -143,22 +196,17 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	restored.evenHigh = flags&flagEven != 0
 	restored.noAlternation = flags&flagFrozen != 0
-	if err := rd(&restored.count); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
-	}
-	if err := rd(&restored.min); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
-	}
-	if err := rd(&restored.max); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
-	}
+	restored.count = int64(d.u64())
+	restored.min = math.Float64frombits(d.u64())
+	restored.max = math.Float64frombits(d.u64())
 	for _, p := range []*int64{
 		&restored.stats.Leaves, &restored.stats.Collapses, &restored.stats.WeightSum,
 		&restored.stats.MaxCollapseWeight, &restored.stats.OffsetSum,
 		&restored.stats.Absorbs, &restored.stats.Fallbacks,
 	} {
-		if err := rd(p); err != nil {
-			return fmt.Errorf("core: truncated sketch encoding: %w", err)
+		*p = int64(d.u64())
+		if d.short {
+			return errTruncated
 		}
 		if *p < 0 {
 			return fmt.Errorf("core: negative collapse statistic %d", *p)
@@ -172,9 +220,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("core: corrupt extremes min=%v max=%v", restored.min, restored.max)
 		}
 	}
-	var nFull uint32
-	if err := rd(&nFull); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
+	nFull := d.u32()
+	if d.short {
+		return errTruncated
 	}
 	if nFull > b32 {
 		return fmt.Errorf("core: %d full buffers exceed b=%d", nFull, b32)
@@ -184,9 +232,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	prevSlot := -1
 	for i := uint32(0); i < nFull; i++ {
-		var slot uint32
-		if err := rd(&slot); err != nil {
-			return fmt.Errorf("core: truncated sketch encoding: %w", err)
+		slot := d.u32()
+		if d.short {
+			return errTruncated
 		}
 		// Slots are written in array order, so they must be strictly
 		// increasing and in range; each full buffer goes back to the exact
@@ -196,20 +244,19 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 		prevSlot = int(slot)
 		buf := restored.bufs[slot]
-		var level int32
-		if err := rd(&buf.weight); err != nil {
-			return fmt.Errorf("core: truncated sketch encoding: %w", err)
-		}
-		if err := rd(&level); err != nil {
-			return fmt.Errorf("core: truncated sketch encoding: %w", err)
+		buf.weight = int64(d.u64())
+		level := int32(d.u32())
+		if d.short {
+			return errTruncated
 		}
 		if buf.weight < 1 {
 			return fmt.Errorf("core: buffer weight %d invalid", buf.weight)
 		}
 		buf.level = int(level)
 		buf.data = buf.data[:k32]
-		if err := rd(buf.data); err != nil {
-			return fmt.Errorf("core: truncated sketch encoding: %w", err)
+		d.floats(buf.data)
+		if d.short {
+			return errTruncated
 		}
 		// Buffers are sorted runs of stream elements: every value must lie
 		// within the recorded extremes and the run must be non-decreasing.
@@ -228,16 +275,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 		buf.full = true
 	}
-	var fillSlot, fillLen uint32
-	var fillLevel int32
-	if err := rd(&fillSlot); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
-	}
-	if err := rd(&fillLen); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
-	}
-	if err := rd(&fillLevel); err != nil {
-		return fmt.Errorf("core: truncated sketch encoding: %w", err)
+	fillSlot, fillLen, fillLevel := d.u32(), d.u32(), int32(d.u32())
+	if d.short {
+		return errTruncated
 	}
 	if flags&flagFill == 0 {
 		if fillSlot != 0 || fillLen != 0 || fillLevel != 0 {
@@ -253,8 +293,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		fill := restored.bufs[fillSlot]
 		fill.level = int(fillLevel)
 		fill.data = fill.data[:fillLen]
-		if err := rd(fill.data); err != nil {
-			return fmt.Errorf("core: truncated sketch encoding: %w", err)
+		d.floats(fill.data)
+		if d.short {
+			return errTruncated
 		}
 		// The fill buffer is raw arrival order (sorted only on completion),
 		// so only the range invariant applies here.
@@ -268,8 +309,8 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		}
 		restored.fill = fill
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("core: %d trailing bytes in sketch encoding", r.Len())
+	if len(d.data) != 0 {
+		return fmt.Errorf("core: %d trailing bytes in sketch encoding", len(d.data))
 	}
 	*s = *restored
 	return nil

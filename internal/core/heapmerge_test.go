@@ -37,7 +37,7 @@ func TestPropertyHeapMergeMatchesLinear(t *testing.T) {
 		linTargets := append([]int64(nil), targets...)
 		heapOut := make([]float64, nt)
 		linOut := make([]float64, nt)
-		var sc mergeScratch
+		var sc Selector
 		selectInMergeHeap(bufs, heapTargets, heapOut, &sc)
 		// Force the linear path by splitting below the threshold is not
 		// possible; call the linear algorithm directly on the same input.

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// radixSortCutoff is the slice length below which sortFloats falls back to
+// radixSortCutoff is the slice length below which FloatSorter falls back to
 // the stdlib sort: an LSD radix pass has a fixed cost (key mapping, an 8KiB
 // histogram, write-back) that only amortizes once the buffer is a few
 // hundred elements. The value was chosen by BenchmarkSortFloats (see
@@ -13,18 +13,39 @@ import (
 // at n=512 radix already wins (~1.2x) and the gap widens to ~4x by n=4096.
 const radixSortCutoff = 512
 
-// sortFloats sorts data ascending. Large slices take the in-place LSD radix
-// sort below, reusing the sketch-owned scratch so steady-state NEW
-// operations allocate nothing; short slices use the stdlib sort. The
-// ordering matches sort.Float64s on everything the sketch admits (NaN is
-// rejected at Add): -Inf < finite < +Inf, with -0 and +0 freely
-// interchangeable as the comparison order cannot tell them apart.
-func (s *Sketch) sortFloats(data []float64) {
+// insertionSortCutoff is the slice length up to which FloatSorter sorts by
+// plain insertion: KLL compacts level 0 at a handful of items, where the
+// stdlib sort's setup costs more than the sort.
+const insertionSortCutoff = 12
+
+// FloatSorter is the repository's one float sort. Sort orders data
+// ascending: large slices take the in-place LSD radix sort below, reusing
+// the sorter's scratch so steady-state sorts allocate nothing; short slices
+// use the stdlib sort. The ordering matches sort.Float64s on everything
+// without NaN: -Inf < finite < +Inf, with -0 and +0 freely interchangeable
+// as the comparison order cannot tell them apart. The zero value is ready
+// to use; a FloatSorter is not safe for concurrent use.
+type FloatSorter struct {
+	keys, swap []uint64
+}
+
+// Sort sorts data ascending. data must not contain NaN.
+func (f *FloatSorter) Sort(data []float64) {
+	if len(data) <= insertionSortCutoff {
+		for i := 1; i < len(data); i++ {
+			v, j := data[i], i
+			for ; j > 0 && data[j-1] > v; j-- {
+				data[j] = data[j-1]
+			}
+			data[j] = v
+		}
+		return
+	}
 	if len(data) < radixSortCutoff {
 		sort.Float64s(data)
 		return
 	}
-	s.radixKeys, s.radixSwap = radixSortFloat64s(data, s.radixKeys, s.radixSwap)
+	f.keys, f.swap = radixSortFloat64s(data, f.keys, f.swap)
 }
 
 // floatSortKey maps IEEE-754 bits onto a uint64 whose unsigned order is the

@@ -26,6 +26,16 @@ func checkSortedMatch(t *testing.T, name string, data []float64) {
 	if !sort.Float64sAreSorted(got) {
 		t.Fatalf("%s: radix output not sorted", name)
 	}
+	// FloatSorter picks insertion, stdlib or radix by length; every path
+	// must agree with the stdlib.
+	got = append(got[:0], data...)
+	var f FloatSorter
+	f.Sort(got)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: index %d: FloatSorter %v vs stdlib %v", name, i, got[i], want[i])
+		}
+	}
 }
 
 func TestRadixSortFloat64s(t *testing.T) {
@@ -50,11 +60,11 @@ func TestRadixSortFloat64s(t *testing.T) {
 	}
 }
 
-// TestRadixSortSizes sweeps sizes around the cutoff (both sortFloats paths)
+// TestRadixSortSizes sweeps sizes around the cutoffs (every FloatSorter path)
 // plus larger buffers, on several distributions.
 func TestRadixSortSizes(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	sizes := []int{0, 1, 2, 3, 15, radixSortCutoff - 1, radixSortCutoff, radixSortCutoff + 1, 1024, 4096}
+	sizes := []int{0, 1, 2, 3, insertionSortCutoff, insertionSortCutoff + 1, 15, radixSortCutoff - 1, radixSortCutoff, radixSortCutoff + 1, 1024, 4096}
 	for _, n := range sizes {
 		uniform := make([]float64, n)
 		narrow := make([]float64, n)
@@ -70,7 +80,7 @@ func TestRadixSortSizes(t *testing.T) {
 	}
 }
 
-// TestSortFloatsScratchReuse checks that consecutive sortFloats calls on a
+// TestSortFloatsScratchReuse checks that consecutive FloatSorter calls on a
 // sketch reuse the grown scratch rather than reallocating.
 func TestSortFloatsScratchReuse(t *testing.T) {
 	s, err := NewSketch(5, 1024, PolicyNew)
@@ -78,16 +88,16 @@ func TestSortFloatsScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := benchData(1024, 11)
-	s.sortFloats(data)
-	if len(s.radixKeys) != 1024 || len(s.radixSwap) != 1024 {
-		t.Fatalf("scratch not grown: keys=%d swap=%d", len(s.radixKeys), len(s.radixSwap))
+	s.sorter.Sort(data)
+	if len(s.sorter.keys) != 1024 || len(s.sorter.swap) != 1024 {
+		t.Fatalf("scratch not grown: keys=%d swap=%d", len(s.sorter.keys), len(s.sorter.swap))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		copy(data, benchPermuted)
-		s.sortFloats(data)
+		s.sorter.Sort(data)
 	})
 	if allocs != 0 {
-		t.Fatalf("sortFloats allocated %v times per run after warm-up", allocs)
+		t.Fatalf("FloatSorter allocated %v times per run after warm-up", allocs)
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Rank estimates the number of input elements less than or equal to v. The
 // estimate carries the same Lemma 5 guarantee as Quantiles: it is within
@@ -18,12 +15,7 @@ func (s *Sketch) Rank(v float64) (int64, error) {
 	if math.IsNaN(v) {
 		return 0, errNaNRank
 	}
-	var r int64
-	for _, w := range views {
-		// Count slots with value <= v; each stands for Weight elements.
-		idx := sort.Search(len(w.Data), func(i int) bool { return w.Data[i] > v })
-		r += int64(idx) * w.Weight
-	}
+	r := WeightAtMost(views, v)
 	// Remove the -Inf padding slots (all of which count as <= v for any
 	// finite v) and clamp to the real element count.
 	r -= negPad

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by queries against a sketch that has consumed no
@@ -50,12 +49,11 @@ type Sketch struct {
 	scratchV []float64
 	scratchW []Weighted
 
-	// merge is the selection scratch shared by COLLAPSE and the query path.
-	merge mergeScratch
+	// sel is the selection scratch shared by COLLAPSE and the query path.
+	sel Selector
 
-	// Radix-sort scratch for the NEW operation (see radixsort.go).
-	radixKeys []uint64
-	radixSwap []uint64
+	// sorter sorts the NEW operation's buffers (see radixsort.go).
+	sorter FloatSorter
 
 	// qry is the OUTPUT scratch; gen is the mutation generation that
 	// invalidates its cached padded copy of the mid-fill buffer.
@@ -67,9 +65,7 @@ type Sketch struct {
 // outputViews calls so warm queries allocate only their result slice.
 type queryScratch struct {
 	views    []Weighted
-	tgts     []int64
-	idx      []int
-	picked   []float64
+	ranks    []int64
 	exactIdx []int
 	exactVal []float64
 
@@ -78,23 +74,6 @@ type queryScratch struct {
 	// (paddedGen != gen) since the copy was made.
 	padded    []float64
 	paddedGen uint64
-
-	sorter tgtSorter
-}
-
-// tgtSorter orders the (tgts, idx) pair by target position; it exists so
-// wide phi lists can use the stdlib sort without the per-call closure
-// allocation of sort.Slice.
-type tgtSorter struct {
-	tgts []int64
-	idx  []int
-}
-
-func (t *tgtSorter) Len() int           { return len(t.tgts) }
-func (t *tgtSorter) Less(i, j int) bool { return t.tgts[i] < t.tgts[j] }
-func (t *tgtSorter) Swap(i, j int) {
-	t.tgts[i], t.tgts[j] = t.tgts[j], t.tgts[i]
-	t.idx[i], t.idx[j] = t.idx[j], t.idx[i]
 }
 
 // NewSketch returns a sketch with b buffers of k elements each using the
@@ -257,7 +236,7 @@ func (s *Sketch) startFill() {
 // completeFill seals the buffer currently being filled: the paper's NEW
 // operation ends by sorting the buffer and stamping it weight 1.
 func (s *Sketch) completeFill() {
-	s.sortFloats(s.fill.data)
+	s.sorter.Sort(s.fill.data)
 	s.fill.weight = 1
 	s.fill.full = true
 	s.stats.Leaves++
@@ -293,7 +272,7 @@ func (s *Sketch) collapse(inputs []*buffer, level int) *buffer {
 		views = append(views, Weighted{Data: in.data, Weight: in.weight})
 	}
 	out := s.scratchV[:s.k]
-	selectInMergeScratch(views, targets, out, &s.merge)
+	selectInMergeScratch(views, targets, out, &s.sel)
 
 	s.stats.Collapses++
 	s.stats.WeightSum += w
@@ -389,11 +368,8 @@ func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
 	// phi' = (2*phi + beta - 1) / (2*beta) transposition, computed directly
 	// on ranks so odd pads are handled exactly. Everything below the result
 	// slice runs on per-sketch scratch.
-	n := len(phis)
 	q := &s.qry
-	q.tgts = growInt64(q.tgts, n)
-	q.idx = growInt(q.idx, n)
-	q.picked = growFloat64(q.picked, n)
+	q.ranks = growInt64(q.ranks, len(phis))
 	q.exactIdx = q.exactIdx[:0]
 	q.exactVal = q.exactVal[:0]
 	for i, phi := range phis {
@@ -414,44 +390,14 @@ func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
 			q.exactIdx = append(q.exactIdx, i)
 			q.exactVal = append(q.exactVal, s.max)
 		}
-		q.tgts[i] = r + negPad
-		q.idx[i] = i
+		q.ranks[i] = r + negPad
 	}
-	sortTargets(q.tgts, q.idx, &q.sorter)
-	selectInMergeScratch(views, q.tgts, q.picked, &s.merge)
-	out := make([]float64, n)
-	for i, t := range q.idx {
-		out[t] = q.picked[i]
-	}
+	out := make([]float64, len(phis))
+	s.sel.SelectRanks(views, q.ranks, out)
 	for j, i := range q.exactIdx {
 		out[i] = q.exactVal[j]
 	}
 	return out, nil
-}
-
-// insertionSortMax is the phi count above which sortTargets defers to the
-// stdlib sort; below it the branch-light insertion sort wins and stays
-// allocation-free.
-const insertionSortMax = 32
-
-// sortTargets orders the parallel (tgts, idx) slices by target position:
-// insertion sort for the short lists dashboards actually request, stdlib
-// sort (through the reusable tgtSorter, avoiding the sort.Slice closure)
-// for pathological ones.
-func sortTargets(tgts []int64, idx []int, sorter *tgtSorter) {
-	if len(tgts) > insertionSortMax {
-		sorter.tgts, sorter.idx = tgts, idx
-		sort.Sort(sorter)
-		return
-	}
-	for i := 1; i < len(tgts); i++ {
-		t, id := tgts[i], idx[i]
-		j := i - 1
-		for ; j >= 0 && tgts[j] > t; j-- {
-			tgts[j+1], idx[j+1] = tgts[j], idx[j]
-		}
-		tgts[j+1], idx[j+1] = t, id
-	}
 }
 
 // growInt64 returns s resized to n, reallocating only when capacity lacks.
@@ -520,7 +466,7 @@ func (s *Sketch) paddedFill() int64 {
 	}
 	vals := p[neg : neg+fillLen]
 	copy(vals, s.fill.data)
-	s.sortFloats(vals)
+	s.sorter.Sort(vals)
 	for i := neg + fillLen; i < s.k; i++ {
 		p[i] = math.Inf(1)
 	}
@@ -569,7 +515,7 @@ func (s *Sketch) FinalBuffersRaw() ([]Weighted, error) {
 	if s.fill != nil && len(s.fill.data) > 0 {
 		vals := make([]float64, len(s.fill.data))
 		copy(vals, s.fill.data)
-		s.sortFloats(vals)
+		s.sorter.Sort(vals)
 		views = append(views, Weighted{Data: vals, Weight: 1})
 	}
 	return views, nil

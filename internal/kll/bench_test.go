@@ -1,6 +1,7 @@
 package kll
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -24,58 +25,72 @@ func benchSketch(b *testing.B, k, n int) *Sketch {
 // gated namespace as internal/core's BenchmarkAdd/AddBatch/Quantiles
 // without colliding: the bench gate matches ^Benchmark(Add|AddBatch|Quantiles)/.
 
+// The k=2000 rows are the served geometry: quantiled derives k = 2/epsilon
+// and runs at epsilon 0.001.
+
 func BenchmarkAdd(b *testing.B) {
-	b.Run("kll/k=200", func(b *testing.B) {
-		s, err := New(200, 1, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(2))
-		vals := make([]float64, 1<<16)
-		for i := range vals {
-			vals[i] = rng.Float64()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Add(vals[i&(len(vals)-1)]); err != nil {
+	for _, k := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("kll/k=%d", k), func(b *testing.B) {
+			s, err := New(k, 1, 0)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			rng := rand.New(rand.NewSource(2))
+			vals := make([]float64, 1<<16)
+			for i := range vals {
+				vals[i] = rng.Float64()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Add(vals[i&(len(vals)-1)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkAddBatch(b *testing.B) {
-	b.Run("kll/k=200/batch=1024", func(b *testing.B) {
-		s, err := New(200, 1, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(3))
-		batch := make([]float64, 1024)
-		for i := range batch {
-			batch[i] = rng.Float64()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.AddBatch(batch); err != nil {
+	for _, k := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("kll/k=%d/batch=1024", k), func(b *testing.B) {
+			s, err := New(k, 1, 0)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			rng := rand.New(rand.NewSource(3))
+			batch := make([]float64, 1024)
+			for i := range batch {
+				batch[i] = rng.Float64()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.AddBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkQuantiles(b *testing.B) {
-	b.Run("kll/k=200/q=5", func(b *testing.B) {
-		s := benchSketch(b, 200, 1_000_000)
-		phis := []float64{0.01, 0.25, 0.5, 0.75, 0.99}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Quantiles(phis); err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		k    int
+		phis []float64
+	}{
+		{200, []float64{0.01, 0.25, 0.5, 0.75, 0.99}},
+		{2000, []float64{0.01, 0.25, 0.75, 0.999}},
+	} {
+		b.Run(fmt.Sprintf("kll/k=%d/q=%d", tc.k, len(tc.phis)), func(b *testing.B) {
+			s := benchSketch(b, tc.k, 1_000_000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Quantiles(tc.phis); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

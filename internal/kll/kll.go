@@ -10,8 +10,11 @@
 // of two, so almost all memory sits in the two cheapest-to-maintain levels.
 // Compaction is lazy: nothing happens until the total occupancy exceeds the
 // capacity budget, and then only the lowest overfull level is compacted —
-// sorted, split into adjacent pairs, and one item of each pair (chosen by a
-// seeded coin flip per compaction) promoted with doubled weight.
+// split into adjacent pairs in sorted order, and one item of each pair
+// (chosen by a seeded coin flip per compaction) promoted with doubled
+// weight. As in the KLL paper's compactors, every level above 0 is kept
+// sorted: promotions and Absorb merge sorted runs in place, and only level
+// 0, which takes raw input, is ever sorted.
 //
 // Each compaction at level h moves every rank estimate by at most 2^h, in
 // a direction decided by the coin, with zero mean. The sketch therefore
@@ -27,6 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+
+	"mrl/internal/core"
 )
 
 // ErrEmpty is returned by queries against a sketch that has consumed no
@@ -56,7 +62,7 @@ type Sketch struct {
 	delta float64
 	rng   uint64 // xorshift64 state; seeded, serialised, replayable
 
-	compactors [][]float64 // level h holds items of weight 2^h
+	compactors [][]float64 // level h holds items of weight 2^h; sorted for h >= 1
 	caps       []int       // capacity per level under the current height
 	size       int         // total items across levels
 	budget     int         // sum of caps
@@ -65,6 +71,15 @@ type Sketch struct {
 	min, max    float64
 	compactions []int64 // compaction operations per level
 	absorbs     int64
+
+	sorter core.FloatSorter // sorts level 0 at compaction and query time
+
+	// Query scratch: the levels as weighted runs (level 0 through a sorted
+	// copy) and the target ranks.
+	sel     core.Selector
+	views   []core.Weighted
+	sorted0 []float64
+	ranks   []int64
 }
 
 // New returns a sketch with accuracy parameter k (larger is more accurate:
@@ -240,9 +255,11 @@ func (s *Sketch) compress() {
 	}
 }
 
-// compactLevel sorts level h, optionally retains one item when the
-// occupancy is odd, and promotes one item of each adjacent pair — even or
-// odd positions by a fresh coin flip — to level h+1 with doubled weight.
+// compactLevel optionally retains one item when the occupancy of level h
+// is odd, and promotes one item of each adjacent pair in sorted order —
+// even or odd positions by a fresh coin flip — to level h+1 with doubled
+// weight. Level 0 is sorted first; higher levels already are, and the
+// promoted items are merged into level h+1 in place, so it stays sorted.
 // The rank-error contribution of the operation is at most 2^h, with zero
 // mean over the coin.
 func (s *Sketch) compactLevel(h int) {
@@ -250,51 +267,72 @@ func (s *Sketch) compactLevel(h int) {
 	if len(items) < 2 {
 		return
 	}
-	insertionSort(items)
-	var retained float64
-	hasRetained := false
-	if len(items)%2 == 1 {
-		// An odd straggler cannot be paired; it stays at level h with its
-		// weight intact, introducing no error. Keeping the last (largest)
-		// item is an arbitrary deterministic choice.
-		retained = items[len(items)-1]
-		hasRetained = true
-		items = items[:len(items)-1]
+	if h == 0 {
+		s.sorter.Sort(items)
 	}
+	// An odd straggler cannot be paired; it stays at level h with its
+	// weight intact, introducing no error. Keeping the last (largest) item
+	// is an arbitrary deterministic choice.
+	paired := len(items) &^ 1
 	offset := s.coin()
 	if h+1 == len(s.compactors) {
 		s.grow()
 	}
-	promoted := 0
-	for i := offset; i < len(items); i += 2 {
-		s.compactors[h+1] = append(s.compactors[h+1], items[i])
-		promoted++
+	promoted := (paired - offset + 1) >> 1
+	up := &s.compactors[h+1]
+	if promoted == 1 {
+		// The common promotion off a two-item level, done as one inline
+		// insertion step: a mergeInto call per promotion cost ~20% on
+		// Add at k=200.
+		v := items[offset]
+		*up = append(*up, v)
+		dst := *up
+		k := len(dst) - 1
+		for ; k > 0 && dst[k-1] > v; k-- {
+			dst[k] = dst[k-1]
+		}
+		dst[k] = v
+	} else {
+		*up = mergeInto(*up, items[:paired], offset, 2)
 	}
-	s.compactors[h] = s.compactors[h][:0]
-	if hasRetained {
-		s.compactors[h] = append(s.compactors[h], retained)
+	kept := items[:0]
+	if paired < len(items) {
+		kept = append(kept, items[paired])
 	}
-	s.size -= len(items) - promoted
+	s.compactors[h] = kept
+	s.size -= paired - promoted
 	for len(s.compactions) <= h {
 		s.compactions = append(s.compactions, 0)
 	}
 	s.compactions[h]++
 }
 
-// insertionSort keeps small compactor sorts allocation-free; levels are at
-// most a few hundred items and usually nearly sorted is irrelevant — the
-// simple quadratic sort is fine at these sizes and avoids pulling the
-// stdlib sort's scratch into the hot path.
-func insertionSort(vs []float64) {
-	for i := 1; i < len(vs); i++ {
-		v := vs[i]
-		j := i - 1
-		for j >= 0 && vs[j] > v {
-			vs[j+1] = vs[j]
-			j--
-		}
-		vs[j+1] = v
+// mergeInto merges src[start], src[start+step], ... — an ascending run,
+// step 1 or 2 — into the ascending dst, in place from the back, and
+// returns dst. It allocates only when dst lacks the capacity.
+func mergeInto(dst, src []float64, start, step int) []float64 {
+	m := len(src) - start
+	if step == 2 {
+		m = (m + 1) >> 1
 	}
+	if m <= 0 {
+		return dst
+	}
+	i := len(dst) - 1 // last old item not yet moved
+	if cap(dst)-len(dst) < m {
+		dst = slices.Grow(dst, m)
+	}
+	dst = dst[:len(dst)+m]
+	for j, k := start+(m-1)*step, len(dst)-1; j >= start; k-- {
+		if i >= 0 && dst[i] > src[j] {
+			dst[k] = dst[i]
+			i--
+		} else {
+			dst[k] = src[j]
+			j -= step
+		}
+	}
+	return dst
 }
 
 // ErrorBound returns the current a-posteriori rank-error bound: the
@@ -334,14 +372,11 @@ func (s *Sketch) Quantile(phi float64) (float64, error) {
 	return vs[0], nil
 }
 
-// weightedItem pairs a surviving value with its level weight for queries.
-type weightedItem struct {
-	v float64
-	w int64
-}
-
 // Quantiles answers many quantiles in one pass over the surviving items;
-// the result is parallel to phis. Queries are non-destructive.
+// the result is parallel to phis. The levels are read as sorted runs of
+// weight 2^h through internal/core's OUTPUT selection, whose merge has
+// exactly Count slots: compaction conserves weight. Queries do not change
+// the sketch's state.
 func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
 	if s.count == 0 {
 		return nil, ErrEmpty
@@ -351,90 +386,49 @@ func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
 			return nil, fmt.Errorf("kll: quantile fraction %v outside [0,1]", phi)
 		}
 	}
-	items := s.gather()
-	out := make([]float64, len(phis))
+	s.ranks = slices.Grow(s.ranks[:0], len(phis))[:len(phis)]
 	for i, phi := range phis {
 		target := int64(math.Ceil(phi * float64(s.count)))
-		if target < 1 {
-			target = 1
-		}
-		if target > s.count {
-			target = s.count
-		}
-		// Ranks 1 and count are tracked exactly, mirroring the MRL core:
-		// compaction may have dropped the true extremes from the items.
-		switch target {
+		s.ranks[i] = min(max(target, 1), s.count)
+	}
+	out := make([]float64, len(phis))
+	s.sel.SelectRanks(s.runs(), s.ranks, out)
+	// Ranks 1 and count are tracked exactly, mirroring the MRL core:
+	// compaction may have dropped the true extremes from the items.
+	for i, r := range s.ranks {
+		switch r {
 		case 1:
 			out[i] = s.min
-			continue
 		case s.count:
 			out[i] = s.max
-			continue
 		}
-		out[i] = selectRank(items, target)
 	}
 	return out, nil
 }
 
-// gather snapshots the surviving items sorted by value. Total item weight
-// is exactly Count: compaction conserves weight.
-func (s *Sketch) gather() []weightedItem {
-	items := make([]weightedItem, 0, s.size)
-	for h, c := range s.compactors {
-		w := int64(1) << uint(h)
-		for _, v := range c {
-			items = append(items, weightedItem{v: v, w: w})
-		}
+// runs returns the levels as weighted sorted runs, level 0 through a
+// sorted copy. The result aliases sketch scratch and level storage.
+func (s *Sketch) runs() []core.Weighted {
+	s.sorted0 = append(s.sorted0[:0], s.compactors[0]...)
+	s.sorter.Sort(s.sorted0)
+	views := append(s.views[:0], core.Weighted{Data: s.sorted0, Weight: 1})
+	for h := 1; h < len(s.compactors); h++ {
+		views = append(views, core.Weighted{Data: s.compactors[h], Weight: int64(1) << uint(h)})
 	}
-	sortItems(items)
-	return items
+	s.views = views
+	return views
 }
 
-// sortItems sorts by value (stable enough for our use: equal values are
-// interchangeable).
-func sortItems(items []weightedItem) {
-	// Shell sort: no allocation, no reflection, fine at compactor sizes.
-	for gap := len(items) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(items); i++ {
-			it := items[i]
-			j := i - gap
-			for j >= 0 && items[j].v > it.v {
-				items[j+gap] = items[j]
-				j -= gap
-			}
-			items[j+gap] = it
-		}
-	}
-}
-
-// selectRank returns the first item whose cumulative weight reaches the
-// target rank.
-func selectRank(items []weightedItem, target int64) float64 {
-	var cum int64
-	for _, it := range items {
-		cum += it.w
-		if cum >= target {
-			return it.v
-		}
-	}
-	return items[len(items)-1].v
-}
-
-// Rank estimates the number of consumed elements <= v.
+// Rank estimates the number of consumed elements <= v: the weighted count
+// over the levels read as sorted runs, as Quantiles reads them.
 func (s *Sketch) Rank(v float64) (int64, error) {
 	if s.count == 0 {
 		return 0, ErrEmpty
 	}
-	var rank int64
-	for h, c := range s.compactors {
-		w := int64(1) << uint(h)
-		for _, item := range c {
-			if item <= v {
-				rank += w
-			}
-		}
+	if math.IsNaN(v) {
+		return 0, nil // nothing compares <= NaN
 	}
-	return rank, nil
+	return core.WeightAtMost(s.runs(), v), nil
 }
 
 // Reset discards all consumed data, keeping k, delta and the current
@@ -453,8 +447,9 @@ func (s *Sketch) Reset() {
 
 // Absorb folds other's data into s, leaving other untouched. The combined
 // sketch keeps a valid bound: items merge level-by-level (weights agree by
-// construction), compaction accounting adds, and the union is re-compacted
-// lazily under s's capacity schedule.
+// construction; the sorted levels above 0 by an in-place merge),
+// compaction accounting adds, and the union is re-compacted lazily under
+// s's capacity schedule.
 func (s *Sketch) Absorb(other *Sketch) error {
 	if other == nil || other.count == 0 {
 		return nil
@@ -472,8 +467,11 @@ func (s *Sketch) Absorb(other *Sketch) error {
 	for len(s.compactors) < len(other.compactors) {
 		s.grow()
 	}
+	s.compactors[0] = append(s.compactors[0], other.compactors[0]...)
 	for h, c := range other.compactors {
-		s.compactors[h] = append(s.compactors[h], c...)
+		if h > 0 {
+			s.compactors[h] = mergeInto(s.compactors[h], c, 0, 1)
+		}
 		s.size += len(c)
 	}
 	for len(s.compactions) < len(other.compactions) {

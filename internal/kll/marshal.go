@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+
+	"mrl/internal/core"
 )
 
 // Wire format (little endian):
@@ -19,7 +22,9 @@ import (
 // The encoding carries the exact level contents in order and the coin
 // generator state, so a restored sketch is bit-identical to the original:
 // further Adds produce the same compactions, the same promotions and the
-// same answers as if the snapshot had never happened.
+// same answers as if the snapshot had never happened. Levels above 0 are
+// sorted; encodings written before the sketch kept them sorted hold them in
+// promotion order, and decoding sorts them, which changes no answer.
 const snapshotMagic = "KLL1"
 
 // snapshotMaxLevels bounds the decoded stack height; item weights are
@@ -147,6 +152,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	compactors := make([][]float64, levels)
 	compactions := make([]int64, levels)
+	var sorter core.FloatSorter
 	size := 0
 	var weight int64
 	for h := 0; h < levels; h++ {
@@ -181,6 +187,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 				return fmt.Errorf("%w: item outside min/max", ErrCorrupt)
 			}
 			items[i] = v
+		}
+		if h > 0 && !slices.IsSorted(items) {
+			sorter.Sort(items)
 		}
 		compactors[h] = items
 		size += n

@@ -263,6 +263,7 @@ func TwoStage(sketches []*core.Sketch, groupSize, groupKeep int, phis []float64)
 // introduces: a collapse whose output slots weigh w loses at most
 // w - offset < w ranks of definitely-small/large evidence (Section 4.2),
 // plus at most w for the ceil rounding of w itself.
+// Its keep targets are dense, so it keeps the merge walk (SelectInMerge).
 func collapseViews(views []core.Weighted, keep int) (core.Weighted, float64) {
 	total := core.TotalWeight(views) // weighted slots across the group
 	if total == 0 {
@@ -294,36 +295,20 @@ func collapseViews(views []core.Weighted, keep int) (core.Weighted, float64) {
 }
 
 // selectQuantiles maps phis onto positions of the weighted merge of views,
-// whose slots stand for exactly count real elements, and selects them.
+// whose slots stand for exactly count real elements, and selects them with
+// core's OUTPUT selection (rank search or merge walk, whichever is cheaper).
 func selectQuantiles(views []core.Weighted, phis []float64, count int64) ([]float64, error) {
-	type tgt struct {
-		pos int64
-		idx int
-	}
-	tgts := make([]tgt, len(phis))
+	ranks := make([]int64, len(phis))
 	for i, phi := range phis {
 		if phi < 0 || phi > 1 || math.IsNaN(phi) {
 			return nil, fmt.Errorf("parallel: phi %v outside [0,1]", phi)
 		}
 		r := int64(math.Ceil(phi * float64(count)))
-		if r < 1 {
-			r = 1
-		}
-		if r > count {
-			r = count
-		}
-		tgts[i] = tgt{pos: r, idx: i}
+		ranks[i] = min(max(r, 1), count)
 	}
-	sort.Slice(tgts, func(i, j int) bool { return tgts[i].pos < tgts[j].pos })
-	positions := make([]int64, len(tgts))
-	for i, t := range tgts {
-		positions[i] = t.pos
-	}
-	picked := core.SelectInMerge(views, positions)
 	out := make([]float64, len(phis))
-	for i, t := range tgts {
-		out[t.idx] = picked[i]
-	}
+	var sel core.Selector
+	sel.SelectRanks(views, ranks, out)
 	return out, nil
 }
 

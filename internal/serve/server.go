@@ -471,8 +471,9 @@ type quantileResponse struct {
 	Epsilon    float64 `json:"epsilon"`
 }
 
-// parsePhis parses a comma-separated phi list, e.g. "0.5,0.99,0.999".
-func parsePhis(raw string) ([]float64, error) {
+// ParsePhis parses a comma-separated phi list, e.g. "0.5,0.99,0.999": the
+// phi parameter of GET /quantile on a node and on a cluster coordinator.
+func ParsePhis(raw string) ([]float64, error) {
 	if raw == "" {
 		return nil, errors.New("serve: missing phi parameter")
 	}
@@ -494,7 +495,7 @@ func parsePhis(raw string) ([]float64, error) {
 func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	rawPhis := q.Get("phi")
-	phis, err := parsePhis(rawPhis)
+	phis, err := ParsePhis(rawPhis)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -1,6 +1,7 @@
 package quantile
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sort"
@@ -252,4 +253,71 @@ func TestConcurrentKLLRace(t *testing.T) {
 	if _, _, err := c.QuantilesWithBound([]float64{0.5}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCombineLeavesPartsUntouched: CombineEstimators and SealEstimator
+// clone only the root of their fold and absorb every other part in place,
+// so every shard and every extra must still encode to the same bytes
+// afterwards, whatever the backend.
+func TestCombineLeavesPartsUntouched(t *testing.T) {
+	for _, b := range []Backend{BackendMRL, BackendKLL, BackendWeighted} {
+		t.Run(string(b), func(t *testing.T) {
+			cfg := ConcurrentConfig{Epsilon: 0.01, N: 1 << 20, Shards: 3, Backend: b, Seed: 9}
+			c, err := NewConcurrent(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(10))
+			data := make([]float64, 50000)
+			for i := range data {
+				data[i] = rng.NormFloat64()
+			}
+			if err := c.AddBatch(data); err != nil {
+				t.Fatal(err)
+			}
+			extra, err := NewEstimator(b, Config{Epsilon: 0.01, N: 1 << 20, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := extra.AddBatch(data[:7777]); err != nil {
+				t.Fatal(err)
+			}
+			encode := func() [][]byte {
+				var blobs [][]byte
+				for _, e := range append(c.shardEstimators(), extra) {
+					blob, err := e.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					blobs = append(blobs, blob)
+				}
+				return blobs
+			}
+			before := encode()
+			if _, _, _, err := c.CombineEstimators([]Estimator{extra}, []float64{0.1, 0.5, 0.99}); err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := c.SealEstimator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sealed.Count() != int64(len(data)) {
+				t.Fatalf("sealed count %d, want %d", sealed.Count(), len(data))
+			}
+			for i, blob := range encode() {
+				if !bytes.Equal(blob, before[i]) {
+					t.Fatalf("part %d changed its encoding", i)
+				}
+			}
+		})
+	}
+}
+
+// shardEstimators returns the live shard estimators (test access only).
+func (c *Concurrent) shardEstimators() []Estimator {
+	out := make([]Estimator, len(c.shards))
+	for i, sh := range c.shards {
+		out[i] = sh.est
+	}
+	return out
 }

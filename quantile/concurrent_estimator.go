@@ -52,8 +52,8 @@ func (c *Concurrent) parts(extra []Estimator) partsFunc {
 // accounting over the flat part list certifies a tighter bound than merging
 // first would. Every other backend folds the parts into one estimator and
 // answers with its a-posteriori bound; owned says the parts are private
-// copies the fold may absorb into, otherwise each is cloned first so the
-// inputs stay untouched. It returns the estimates parallel to phis, the
+// copies the fold may absorb into, otherwise the root is cloned first so
+// the inputs stay untouched. It returns the estimates parallel to phis, the
 // combined rank-error bound and the element count the answers cover.
 func combine(backend Backend, parts partsFunc, owned, query bool, phis []float64) (values []float64, bound float64, count int64, err error) {
 	if backend == BackendMRL {
@@ -101,14 +101,19 @@ func combine(backend Backend, parts partsFunc, owned, query bool, phis []float64
 }
 
 // fold absorbs every non-empty part into one estimator, returning nil when
-// nothing was consumed. Unless owned, each part is cloned before it is
-// used, so the inputs stay untouched and the result is the caller's to
-// query or serialise. Parts must share one backend (Absorb enforces it).
+// nothing was consumed. Absorb leaves its argument untouched, so only the
+// root — the first non-empty part, which the others are absorbed into —
+// is cloned, and only unless owned: the inputs stay untouched and the
+// result is the caller's to query or serialise. Parts must share one
+// backend (Absorb enforces it).
 func fold(parts partsFunc, owned bool) (Estimator, error) {
 	var root Estimator
 	err := parts(func(e Estimator) error {
 		if e.Count() == 0 {
 			return nil
+		}
+		if root != nil {
+			return root.Absorb(e)
 		}
 		if !owned {
 			clone, err := cloneEstimator(e)
@@ -117,11 +122,8 @@ func fold(parts partsFunc, owned bool) (Estimator, error) {
 			}
 			e = clone
 		}
-		if root == nil {
-			root = e
-			return nil
-		}
-		return root.Absorb(e)
+		root = e
+		return nil
 	})
 	return root, err
 }
