@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build test race cover cover-gate bench bench-json bench-gate profile reproduce examples clean check vet fmtcheck fuzz-smoke crashtest cert-smoke chaos cluster-smoke
+.PHONY: all build test race qbench-check cover cover-gate bench bench-json bench-gate profile reproduce examples clean check vet fmtcheck fuzz-smoke crashtest cert-smoke chaos cluster-smoke
 
 all: build test
 
-# check is the CI / pre-merge gate: build, vet, formatting, tests, and the
-# race detector over the concurrent packages.
-check: build vet fmtcheck test race
+# check is the CI / pre-merge gate: build, vet, formatting, tests, the
+# race detector over the concurrent packages, and the benchmark module.
+check: build vet fmtcheck test race qbench-check
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/core/ ./quantile/ ./internal/window/ ./internal/serve/ ./internal/wal/ ./internal/faultfs/ ./internal/faultnet/ ./internal/cluster/
+
+# qbench-check vets and tests the benchmark module (its own go.mod under
+# qbench/), so an API change that breaks the benchmark fails here rather
+# than only in the benchmark pipeline. go vet writes no binary.
+qbench-check:
+	cd qbench && $(GO) vet ./... && $(GO) test ./...
 
 # crashtest runs the fault-injection harness under the race detector: seeded
 # kill-and-restart lives (ENOSPC, short writes, failed fsyncs, hard crashes)

@@ -530,6 +530,18 @@ func (s *Sketch) ErrorBound() float64 {
 	if s.count == 0 {
 		return 0
 	}
+	bound := float64(s.stats.WeightSum-s.stats.Collapses-1)/2 + float64(s.MaxOutputWeight()) +
+		float64(s.stats.Absorbs)/2
+	if bound < 0 {
+		return 0
+	}
+	return bound
+}
+
+// MaxOutputWeight returns wmax, the weight of the heaviest buffer
+// FinalBuffersRaw would hand to OUTPUT — full buffers at their weight, a
+// non-empty partial fill at weight 1 — without copying any buffer.
+func (s *Sketch) MaxOutputWeight() int64 {
 	var wmax int64
 	for _, b := range s.bufs {
 		if b.full && b.weight > wmax {
@@ -539,10 +551,5 @@ func (s *Sketch) ErrorBound() float64 {
 	if s.fill != nil && len(s.fill.data) > 0 && wmax < 1 {
 		wmax = 1
 	}
-	bound := float64(s.stats.WeightSum-s.stats.Collapses-1)/2 + float64(wmax) +
-		float64(s.stats.Absorbs)/2
-	if bound < 0 {
-		return 0
-	}
-	return bound
+	return wmax
 }

@@ -147,24 +147,56 @@ func CombineSnapshots(snaps []Snapshot, phis []float64) (Result, error) {
 // core.Sketch.ErrorBound charges Absorbs/2. For a single snapshot the
 // result therefore equals the sketch's own ErrorBound.
 func CombinedBound(snaps []Snapshot) float64 {
-	var sumW, sumC, roots, wmax int64
+	var acc BoundAcc
 	for _, sn := range snaps {
 		if sn.Count == 0 {
 			continue
 		}
-		sumW += sn.Stats.WeightSum
-		sumC += sn.Stats.Collapses
-		roots += 1 + sn.Stats.Absorbs
+		var wmax int64
 		for _, v := range sn.Views {
 			if v.Weight > wmax {
 				wmax = v.Weight
 			}
 		}
+		acc.add(sn.Stats, wmax)
 	}
-	if roots == 0 {
+	return acc.Bound()
+}
+
+// BoundAcc accumulates CombinedBound's pooled accounting one part at a
+// time. Add reads only a live sketch's counters and buffer weights, so a
+// caller that needs the bound alone — a metric's observability row, a
+// window ring's bound taken under its ingest lock — copies and sorts no
+// buffer, and gets exactly what CombinedBound would report over Snap of the
+// same sketches. The zero value is empty.
+type BoundAcc struct {
+	sumW, sumC, roots, wmax int64
+}
+
+// Add folds one sketch into the accumulation; empty sketches are skipped,
+// as CombinedBound skips empty snapshots.
+func (a *BoundAcc) Add(s *core.Sketch) {
+	if s.Count() > 0 {
+		a.add(s.Stats(), s.MaxOutputWeight())
+	}
+}
+
+func (a *BoundAcc) add(st core.Stats, wmax int64) {
+	a.sumW += st.WeightSum
+	a.sumC += st.Collapses
+	a.roots += 1 + st.Absorbs
+	if wmax > a.wmax {
+		a.wmax = wmax
+	}
+}
+
+// Bound evaluates the combined certificate over everything added,
+// (W - C + R - 2)/2 + wmax, or 0 when nothing was.
+func (a *BoundAcc) Bound() float64 {
+	if a.roots == 0 {
 		return 0
 	}
-	bound := float64(sumW-sumC+roots-2)/2 + float64(wmax)
+	bound := float64(a.sumW-a.sumC+a.roots-2)/2 + float64(a.wmax)
 	if bound < 0 {
 		bound = 0
 	}

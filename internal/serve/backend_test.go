@@ -297,60 +297,68 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 // weighted and backend-tagged ingest: replay must recreate each metric under
 // its original backend with the acknowledged data, weights included.
 func TestBackendWALReplay(t *testing.T) {
-	dir := t.TempDir()
-	mk := func() (*Registry, *Server) {
-		reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reg, mustNew(t, reg, Options{WALDir: dir})
-	}
-	_, srv := mk()
-	ts := httptest.NewServer(srv.Handler())
-	for _, body := range []string{
-		`{"metric":"wgt","backend":"weighted","values":[10,20],"weights":[9,1]}`,
-		`{"metric":"klm","backend":"kll","values":[1,2,3,4,5]}`,
-		`{"metric":"def","values":[7,8,9]}`,
-	} {
-		resp := postBody(t, ts.URL+"/ingest", body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest %s: status %d", body, resp.StatusCode)
-		}
-	}
-	ts.Close()
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	// The second life runs under the acking default and under another one:
+	// every record carries its metric's real backend, so "def", acked under
+	// the mrl default, must come back as mrl even when the registry it
+	// replays into defaults to kll.
+	for _, secondDefault := range []string{"", "kll"} {
+		t.Run("second-default="+secondDefault, func(t *testing.T) {
+			dir := t.TempDir()
+			mk := func(backend string) (*Registry, *Server) {
+				reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2, Backend: backend})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return reg, mustNew(t, reg, Options{WALDir: dir})
+			}
+			_, srv := mk("")
+			ts := httptest.NewServer(srv.Handler())
+			for _, body := range []string{
+				`{"metric":"wgt","backend":"weighted","values":[10,20],"weights":[9,1]}`,
+				`{"metric":"klm","backend":"kll","values":[1,2,3,4,5]}`,
+				`{"metric":"def","values":[7,8,9]}`,
+			} {
+				resp := postBody(t, ts.URL+"/ingest", body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("ingest %s: status %d", body, resp.StatusCode)
+				}
+			}
+			ts.Close()
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
-	reg2, srv2 := mk()
-	defer srv2.Shutdown(context.Background())
-	for name, want := range map[string]quantile.Backend{
-		"wgt": quantile.BackendWeighted, "klm": quantile.BackendKLL, "def": quantile.BackendMRL,
-	} {
-		if b := reg2.Backend(name); b != want {
-			t.Fatalf("%s replayed as %q, want %q", name, b, want)
-		}
-	}
-	res, err := reg2.Quantiles("wgt", []float64{0.5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 2 || res.Values[0] != 10 {
-		t.Fatalf("weighted replay answered %+v, want weighted median 10 over 2 values", res)
-	}
-	res, err = reg2.Quantiles("klm", []float64{0.5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 5 || res.Values[0] != 3 {
-		t.Fatalf("kll replay answered %+v", res)
-	}
-	res, err = reg2.Quantiles("def", []float64{0.5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 3 || res.Values[0] != 8 {
-		t.Fatalf("default replay answered %+v", res)
+			reg2, srv2 := mk(secondDefault)
+			defer srv2.Shutdown(context.Background())
+			for name, want := range map[string]quantile.Backend{
+				"wgt": quantile.BackendWeighted, "klm": quantile.BackendKLL, "def": quantile.BackendMRL,
+			} {
+				if b := reg2.Backend(name); b != want {
+					t.Fatalf("%s replayed as %q, want %q", name, b, want)
+				}
+			}
+			res, err := reg2.Quantiles("wgt", []float64{0.5}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != 2 || res.Values[0] != 10 {
+				t.Fatalf("weighted replay answered %+v, want weighted median 10 over 2 values", res)
+			}
+			res, err = reg2.Quantiles("klm", []float64{0.5}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != 5 || res.Values[0] != 3 {
+				t.Fatalf("kll replay answered %+v", res)
+			}
+			res, err = reg2.Quantiles("def", []float64{0.5}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != 3 || res.Values[0] != 8 {
+				t.Fatalf("default replay answered %+v", res)
+			}
+		})
 	}
 }

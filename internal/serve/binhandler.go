@@ -219,7 +219,21 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 			}
 			return err
 		}
+		// Registering under s.mu after the binClosed check orders every
+		// binWG.Add before closeBinary's Wait, and puts the conn where
+		// closeBinary will find and close it.
+		s.mu.Lock()
+		if s.binClosed {
+			s.mu.Unlock()
+			_ = conn.Close()
+			return nil
+		}
 		s.binWG.Add(1)
+		if s.binConns == nil {
+			s.binConns = make(map[net.Conn]struct{})
+		}
+		s.binConns[conn] = struct{}{}
+		s.mu.Unlock()
 		go s.serveBinaryConn(conn)
 	}
 }
@@ -246,19 +260,9 @@ func (s *Server) closeBinary() {
 	s.binWG.Wait()
 }
 
+// serveBinaryConn serves one connection ServeBinary registered.
 func (s *Server) serveBinaryConn(conn net.Conn) {
 	defer s.binWG.Done()
-	s.mu.Lock()
-	if s.binClosed {
-		s.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	if s.binConns == nil {
-		s.binConns = make(map[net.Conn]struct{})
-	}
-	s.binConns[conn] = struct{}{}
-	s.mu.Unlock()
 	defer func() {
 		_ = conn.Close()
 		s.mu.Lock()

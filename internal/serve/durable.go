@@ -112,7 +112,7 @@ func (s *Server) recoverState() error {
 		// Enqueue, don't apply: record decode and dedup stay single-threaded
 		// (error fidelity and high-water ordering unchanged) while the sketch
 		// work fans out across the apply workers, sharded by metric.
-		return s.reg.EnqueueReplay(rec.Metric, rec.Values)
+		return s.reg.EnqueueReplay(rec)
 	})
 	if err != nil {
 		return fmt.Errorf("serve: wal replay: %w", err)
@@ -208,11 +208,8 @@ func (s *Server) ingest(name string, vs, ws []float64, buf *pooledBuf, ent *sess
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if s.wal != nil {
-		recName, recVals := s.reg.walRecordName(name), vs
-		if ws != nil {
-			recName, recVals = weightedWALPrefix+name, interleaveWeighted(vs, ws)
-		}
-		if _, err := s.wal.AppendPipelinedSeq(recName, recVals, sid, seq); err != nil {
+		rec := wal.Record{Metric: name, Backend: string(m.backend), Values: vs, Weights: ws, Session: sid, SessionSeq: seq}
+		if _, err := s.wal.Append(rec); err != nil {
 			m.q.cancel()
 			s.health.noteWAL(err)
 			// The WAL may now hold a record that was never enqueued here, but

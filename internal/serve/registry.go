@@ -14,10 +14,10 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"mrl/internal/wal"
 	"mrl/internal/window"
 	"mrl/quantile"
 )
@@ -52,19 +52,6 @@ var (
 	// weights.
 	ErrWeightMismatch = errors.New("serve: invalid weights")
 )
-
-// weightedWALPrefix marks write-ahead-log records carrying weighted batches:
-// the record's metric name is the prefix plus the real name and its values
-// interleave [v0, w0, v1, w1, ...]. The prefix starts with a control
-// character, which validateMetricName rejects in real names, so it can never
-// collide with a plain record.
-const weightedWALPrefix = "\x01w:"
-
-// backendWALPrefix marks records whose metric runs a backend other than the
-// registry default: "\x01b:<backend>:<name>" with plain values. Without the
-// tag a replay into a fresh registry would recreate the metric under the
-// default backend and silently change its summary type.
-const backendWALPrefix = "\x01b:"
 
 // Config provisions every metric the registry creates; one registry serves
 // many metrics under a single shared accuracy contract.
@@ -498,93 +485,37 @@ func (r *Registry) ValidateIngest(name string, vs, ws []float64) error {
 	return validateBatch(vs, ws)
 }
 
-// walRecordName is the WAL record name for a plain batch into the named
-// metric: the bare name when the metric runs the registry default backend
-// (or does not exist yet), else a backend-tagged name so replay recreates
-// the metric under the same summary type.
-func (r *Registry) walRecordName(name string) string {
-	m := r.get(name)
-	if m == nil || m.backend == r.defaultBackend {
-		return name
-	}
-	return backendWALPrefix + string(m.backend) + ":" + name
-}
-
-// interleaveWeighted renders a weighted batch into the WAL's flat value
-// slice: [v0, w0, v1, w1, ...] under the reserved record-name prefix.
-func interleaveWeighted(vs, ws []float64) []float64 {
-	out := make([]float64, 0, 2*len(vs))
-	for i, v := range vs {
-		out = append(out, v, ws[i])
-	}
-	return out
-}
-
-// resolveReplay decodes one recovered WAL record into its target metric and
-// validated (values, weights) batch: the reserved weighted prefix
-// de-interleaves [v, w, ...] pairs, the backend tag recreates the metric
-// under the summary type it was acknowledged with.
-func (r *Registry) resolveReplay(name string, vs []float64) (*metric, []float64, []float64, error) {
-	if rest, ok := strings.CutPrefix(name, weightedWALPrefix); ok {
-		if len(vs)%2 != 0 {
-			return nil, nil, nil, fmt.Errorf("%w: odd interleaved length %d replaying %q", ErrWeightMismatch, len(vs), rest)
-		}
-		n := len(vs) / 2
-		values := make([]float64, n)
-		weights := make([]float64, n)
-		for i := 0; i < n; i++ {
-			values[i] = vs[2*i]
-			weights[i] = vs[2*i+1]
-		}
-		m, err := r.getOrCreateBackend(rest, quantile.BackendWeighted)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return m, values, weights, validateBatch(values, weights)
-	}
-	var m *metric
-	var err error
-	if rest, ok := strings.CutPrefix(name, backendWALPrefix); ok {
-		tag, metricName, found := strings.Cut(rest, ":")
-		if !found {
-			return nil, nil, nil, fmt.Errorf("%w: malformed backend-tagged WAL record %q", ErrInvalidBackend, name)
-		}
-		b, perr := quantile.ParseBackend(tag)
-		if perr != nil {
-			return nil, nil, nil, fmt.Errorf("%w: %v", ErrInvalidBackend, perr)
-		}
-		m, err = r.getOrCreateBackend(metricName, b)
-	} else {
-		m, err = r.getOrCreate(name)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return m, vs, nil, validateBatch(vs, nil)
-}
-
 // EnqueueReplay folds one recovered WAL record into its metric through the
-// apply queues. Unlike ingest it bypasses the tumbling window — windows
-// describe "recent" data, which a restart makes stale by definition — and
-// counts the values as replayed rather than ingested, so observability can
-// tell recovered history from this process's own traffic. The record is
-// resolved and validated synchronously (keeping recovery's error fidelity
-// and the single-threaded session dedup ordering) but applied by the worker
-// pool, so replay decode overlaps sketch work across metrics. Replay must
-// not drop records, so a full queue always blocks regardless of the shed
-// policy. Callers run drainAll before serving.
-func (r *Registry) EnqueueReplay(name string, vs []float64) error {
-	m, values, weights, err := r.resolveReplay(name, vs)
+// apply queues. The metric is recreated under the backend the record was
+// acknowledged with, whatever the registry default is now. Unlike ingest it
+// bypasses the tumbling window — windows describe "recent" data, which a
+// restart makes stale by definition — and counts the values as replayed
+// rather than ingested, so observability can tell recovered history from
+// this process's own traffic. The record is resolved and validated
+// synchronously (keeping recovery's error fidelity and the single-threaded
+// session dedup ordering) but applied by the worker pool, so replay decode
+// overlaps sketch work across metrics. Replay must not drop records, so a
+// full queue always blocks regardless of the shed policy. Callers run
+// drainAll before serving.
+func (r *Registry) EnqueueReplay(rec wal.Record) error {
+	b, err := quantile.ParseBackend(rec.Backend)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidBackend, err)
+	}
+	m, err := r.getOrCreateBackend(rec.Metric, b)
 	if err != nil {
 		return err
 	}
-	if len(values) == 0 {
+	if err := validateBatch(rec.Values, rec.Weights); err != nil {
+		return err
+	}
+	if len(rec.Values) == 0 {
 		return nil
 	}
 	if err := m.q.reserve(true); err != nil {
 		return err
 	}
-	m.q.enqueue(m, applyItem{vs: values, ws: weights, replay: true})
+	m.q.enqueue(m, applyItem{vs: rec.Values, ws: rec.Weights, replay: true})
 	return nil
 }
 

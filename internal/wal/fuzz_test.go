@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"mrl/internal/faultfs"
@@ -9,15 +11,21 @@ import (
 
 // FuzzWALReplay drives recovery with two inputs at once: a well-formed log
 // built from the fuzz data that then gets one byte corrupted at a derived
-// position, and the raw fuzz bytes dropped in as a segment file. In both
+// position, and the raw fuzz bytes dropped in as a segment file. The log
+// mixes every record shape the serving layer writes — plain, sessioned,
+// weighted, and on a non-default backend — and a clean replay must hand
+// back each record's backend, weights and session pair unchanged. In both
 // shapes Replay must recover or stop cleanly — never panic, never invent
 // records (everything replayed matches something written, in order), and
-// never report more than was appended.
+// never report more than was appended. The one permitted failure is
+// ErrSegmentVersion, and only for a segment whose first bytes are the magic
+// followed by a version other than the current one.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, uint32(0), byte(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint32(9), byte(0xff))
 	f.Add([]byte("MRLW\x01garbage that is not a frame"), uint32(20), byte(1))
 	f.Add([]byte{250, 250, 250, 250}, uint32(40), byte(0x80))
+	f.Add([]byte("MRLW\x02garbage that is not a frame"), uint32(4), byte(3))
 	f.Fuzz(func(t *testing.T, data []byte, corruptPos uint32, flip byte) {
 		// --- Shape 1: valid log, one flipped byte. ---
 		mem := faultfs.NewMem()
@@ -25,21 +33,32 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wrote []written
+		var wrote []Record
 		for i, b := range data {
 			if len(wrote) >= 32 {
 				break
 			}
-			values := make([]float64, int(b)%5)
-			for j := range values {
-				values[j] = float64(i*7 + j)
+			rec := Record{Metric: string(rune('a' + b%3)), Backend: "mrl", Values: make([]float64, int(b)%5)}
+			for j := range rec.Values {
+				rec.Values[j] = float64(i*7 + j)
 			}
-			metric := string(rune('a' + b%3))
-			seq, err := l.Append(metric, values)
+			switch b / 5 % 4 {
+			case 1:
+				rec.Session, rec.SessionSeq = uint64(b)+1, uint64(i)+1
+			case 2:
+				rec.Backend, rec.Weights = "weighted", make([]float64, len(rec.Values))
+				for j := range rec.Weights {
+					rec.Weights[j] = float64(j) + 0.5
+				}
+			case 3:
+				rec.Backend = "kll"
+			}
+			seq, err := l.Append(rec)
 			if err != nil {
 				t.Fatalf("append on clean fs: %v", err)
 			}
-			wrote = append(wrote, written{seq, metric, values})
+			rec.Seq = seq
+			wrote = append(wrote, rec)
 		}
 		l.Close()
 
@@ -47,6 +66,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		versionHit := false
 		if flip != 0 && len(segs) > 0 {
 			seg := segs[int(corruptPos)%len(segs)]
 			blob, err := mem.ReadFile(seg.path)
@@ -54,35 +74,32 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			if len(blob) > 0 {
-				blob[int(corruptPos)%len(blob)] ^= flip
+				pos := int(corruptPos) % len(blob)
+				blob[pos] ^= flip
+				versionHit = pos == segHeaderLen-1
 				mem.WriteFile(seg.path, blob)
 			}
 		}
-		checkReplay(t, mem, wrote)
+		checkReplay(t, mem, wrote, flip == 0, versionHit)
 
 		// --- Shape 2: raw fuzz bytes as the one and only segment. ---
 		raw := faultfs.NewMem()
 		raw.MkdirAll("/wal", 0o755)
 		raw.WriteFile("/wal/wal-00000000.seg", data)
-		checkReplay(t, raw, nil)
+		foreign := len(data) >= segHeaderLen && string(data[:len(segMagic)]) == segMagic && data[len(segMagic)] != segVersion
+		checkReplay(t, raw, nil, false, foreign)
 	})
 }
 
-// written is one record the fuzz harness appended successfully.
-type written struct {
-	seq    uint64
-	metric string
-	values []float64
-}
-
 // checkReplay replays everything under /wal and asserts the output is a
-// subsequence of wrote (when known), with strictly increasing seqs, sane
-// values, and consistent stats.
-func checkReplay(t *testing.T, fsys faultfs.FS, wrote []written) {
+// subsequence of wrote (when known) — all of it when clean — with strictly
+// increasing seqs, sane values, and consistent stats. versionErr says the
+// replay must fail with ErrSegmentVersion instead.
+func checkReplay(t *testing.T, fsys faultfs.FS, wrote []Record, clean, versionErr bool) {
 	t.Helper()
 	bySeq := make(map[uint64]int, len(wrote))
 	for i, w := range wrote {
-		bySeq[w.seq] = i
+		bySeq[w.Seq] = i
 	}
 	var last uint64
 	var replayed int
@@ -92,7 +109,7 @@ func checkReplay(t *testing.T, fsys faultfs.FS, wrote []written) {
 			t.Fatalf("seq not strictly increasing: %d after %d", r.Seq, last)
 		}
 		last = r.Seq
-		for _, v := range r.Values {
+		for _, v := range append(r.Values, r.Weights...) {
 			if math.IsNaN(v) {
 				t.Fatalf("replay delivered NaN at seq %d", r.Seq)
 			}
@@ -102,19 +119,18 @@ func checkReplay(t *testing.T, fsys faultfs.FS, wrote []written) {
 			if !ok {
 				t.Fatalf("replay invented seq %d", r.Seq)
 			}
-			w := wrote[i]
-			if r.Metric != w.metric || len(r.Values) != len(w.values) {
-				t.Fatalf("seq %d: got (%q,%d values), wrote (%q,%d values)",
-					r.Seq, r.Metric, len(r.Values), w.metric, len(w.values))
-			}
-			for j := range w.values {
-				if r.Values[j] != w.values[j] {
-					t.Fatalf("seq %d value %d: got %v, wrote %v", r.Seq, j, r.Values[j], w.values[j])
-				}
+			if w := wrote[i]; !reflect.DeepEqual(r, w) {
+				t.Fatalf("seq %d: replayed %+v, wrote %+v", r.Seq, r, w)
 			}
 		}
 		return nil
 	})
+	if versionErr {
+		if !errors.Is(err, ErrSegmentVersion) {
+			t.Fatalf("foreign segment version: err %v, want ErrSegmentVersion", err)
+		}
+		return
+	}
 	if err != nil {
 		t.Fatalf("replay on in-memory fs: %v", err)
 	}
@@ -123,6 +139,9 @@ func checkReplay(t *testing.T, fsys faultfs.FS, wrote []written) {
 	}
 	if wrote != nil && st.Replayed > len(wrote) {
 		t.Fatalf("replayed %d > written %d", st.Replayed, len(wrote))
+	}
+	if clean && st.Replayed != len(wrote) {
+		t.Fatalf("clean log replayed %d of %d records", st.Replayed, len(wrote))
 	}
 	if st.LastSeq < last {
 		t.Fatalf("LastSeq %d < last delivered %d", st.LastSeq, last)

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// The pipelined append path: AppendPipelined enqueues a batch and blocks
-// until a shared committer goroutine has made it durable, so many
+// The append path is a group commit: Append enqueues a batch and blocks
+// until the log's committer goroutine has made it durable, so many
 // concurrent producers pay for one fsync per *group* instead of one per
 // batch. While one group's fsync is in flight the next group accumulates —
 // the classic group-commit pipeline — without weakening what an ack means:
@@ -21,90 +21,77 @@ import (
 // committer never lets unacked frames cross one.
 
 // pipeReq is one producer's queued batch: the caller blocks on done until
-// the committer reports the batch's fate.
+// the committer reports the batch's fate; rec.Seq carries the sequence
+// number it was given.
 type pipeReq struct {
-	metric string
-	values []float64
-	sid    uint64 // binary ingest session id (0 = plain record)
-	cseq   uint64 // per-session client sequence number
-	seq    uint64
-	done   chan error
+	rec  Record
+	done chan error
 }
 
-// pipeline is the group-commit state, attached lazily to a Log on the
-// first AppendPipelined call.
-type pipeline struct {
+// commitQueue is the group-commit state: the batches waiting for the next
+// group, and the committer's lifetime. Open starts the committer; Close
+// stops it.
+type commitQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []*pipeReq
 	stop    bool
-	done    chan struct{}
+	done    chan struct{} // closed when the committer has exited
 }
 
-// pipe returns the log's pipeline, creating it (and its committer
-// goroutine) on first use.
-func (l *Log) pipe() *pipeline {
-	l.pipeOnce.Do(func() {
-		p := &pipeline{done: make(chan struct{})}
-		p.cond = sync.NewCond(&p.mu)
-		l.pipeState = p
-		go l.runCommitter(p)
-	})
-	return l.pipeState
-}
-
-// AppendPipelined logs one batch through the group-commit pipeline and
-// blocks until the batch's fate is known, returning its sequence number.
-// The ack contract is identical to Append under every sync policy — in
-// particular, under SyncEveryBatch a nil error means the batch is fsynced —
-// only the fsync is shared with whatever other batches were in flight at
-// the same time. The values slice is not retained past the call.
-func (l *Log) AppendPipelined(metric string, values []float64) (uint64, error) {
-	return l.AppendPipelinedSeq(metric, values, 0, 0)
-}
-
-// AppendPipelinedSeq is AppendPipelined for a batch carrying a binary
-// ingest client's (session id, seq) pair; see AppendSeq. The dedup record
-// rides the same group commit as every other in-flight batch — including
-// across a segment rotation, where the committer syncs (and acks) the run
-// that precedes the boundary before the record lands in the fresh segment.
-func (l *Log) AppendPipelinedSeq(metric string, values []float64, sid, cseq uint64) (uint64, error) {
-	if metric == "" || len(metric) > 1<<16-1 {
-		return 0, fmt.Errorf("wal: metric name length %d outside [1, 65535]", len(metric))
+// Append logs one batch and returns its sequence number; rec.Seq is
+// ignored. The batch rides the group commit with whatever other batches are
+// in flight. Under SyncEveryBatch a nil return means the batch is durable;
+// under the other policies it means the batch is in the OS pipeline. A
+// non-nil return means the batch must NOT be acknowledged: the segment is
+// sealed and a fresh one started, and the failed frame keeps its (now
+// skipped) sequence number — it may still surface at replay if the kernel
+// flushed it anyway, which is the usual at-least-once caveat on failed
+// acks, but it can never shadow a later acked frame. The record's slices
+// are not retained past the call.
+func (l *Log) Append(rec Record) (uint64, error) {
+	if rec.Metric == "" || len(rec.Metric) > 1<<16-1 {
+		return 0, fmt.Errorf("wal: metric name length %d outside [1, 65535]", len(rec.Metric))
 	}
-	p := l.pipe()
-	if p == nil {
-		// Close pinned the Once before any pipeline existed.
+	if len(rec.Backend) > 1<<8-1 {
+		return 0, fmt.Errorf("wal: backend name length %d exceeds 255", len(rec.Backend))
+	}
+	if rec.Weights != nil && len(rec.Weights) != len(rec.Values) {
+		return 0, fmt.Errorf("wal: %d weights for %d values", len(rec.Weights), len(rec.Values))
+	}
+	if n := frameHeaderLen + payloadLen(&rec); n > maxRecordBytes {
+		return 0, fmt.Errorf("wal: %d-byte record exceeds %d-byte frame cap", n, maxRecordBytes)
+	}
+	r := &pipeReq{rec: rec, done: make(chan error, 1)}
+	q := &l.q
+	q.mu.Lock()
+	if q.stop {
+		q.mu.Unlock()
 		return 0, ErrClosed
 	}
-	r := &pipeReq{metric: metric, values: values, sid: sid, cseq: cseq, done: make(chan error, 1)}
-	p.mu.Lock()
-	if p.stop {
-		p.mu.Unlock()
-		return 0, ErrClosed
-	}
-	p.pending = append(p.pending, r)
-	p.cond.Signal()
-	p.mu.Unlock()
+	q.pending = append(q.pending, r)
+	q.cond.Signal()
+	q.mu.Unlock()
 	err := <-r.done
-	return r.seq, err
+	return r.rec.Seq, err
 }
 
 // runCommitter is the single committer goroutine: it drains whatever
 // accumulated while the previous group was being written and fsynced, and
-// commits it as the next group. It exits after Close has stopped the
-// pipeline and the queue is empty.
-func (l *Log) runCommitter(p *pipeline) {
-	defer close(p.done)
+// commits it as the next group. It exits after stopCommitter and once the
+// queue is empty.
+func (l *Log) runCommitter() {
+	q := &l.q
+	defer close(q.done)
 	for {
-		p.mu.Lock()
-		for len(p.pending) == 0 && !p.stop {
-			p.cond.Wait()
+		q.mu.Lock()
+		for len(q.pending) == 0 && !q.stop {
+			q.cond.Wait()
 		}
-		group := p.pending
-		p.pending = nil
-		stop := p.stop
-		p.mu.Unlock()
+		group := q.pending
+		q.pending = nil
+		stop := q.stop
+		q.mu.Unlock()
 		if len(group) > 0 {
 			l.commitGroup(group)
 		}
@@ -114,23 +101,15 @@ func (l *Log) runCommitter(p *pipeline) {
 	}
 }
 
-// stopPipeline stops the committer, letting it drain every queued batch
-// first, and rejects later producers with ErrClosed. Safe to call with no
-// pipeline running.
-func (l *Log) stopPipeline() {
-	l.pipeOnce.Do(func() {}) // pin: no new pipeline after this point
-	p := l.pipeState
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	already := p.stop
-	p.stop = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	if !already {
-		<-p.done
-	}
+// stopCommitter stops the committer, letting it drain every queued batch
+// first, and rejects later producers with ErrClosed. Safe to call twice.
+func (l *Log) stopCommitter() {
+	q := &l.q
+	q.mu.Lock()
+	q.stop = true
+	q.cond.Broadcast()
+	q.mu.Unlock()
+	<-q.done
 }
 
 // commitGroup writes and acks one group under l.mu. Frames are written in
@@ -157,12 +136,7 @@ func (l *Log) commitGroup(group []*pipeReq) {
 		var written []*pipeReq
 		for i < len(group) {
 			r := group[i]
-			frame := encodeFrame(l.nextSeq, r.metric, r.values, r.sid, r.cseq)
-			if len(frame) > maxRecordBytes {
-				r.done <- fmt.Errorf("wal: %d-byte record exceeds %d-byte frame cap", len(frame), maxRecordBytes)
-				i++
-				continue
-			}
+			frame := encodeFrame(l.nextSeq, &r.rec)
 			if l.f == nil || l.tainted ||
 				(l.curSize > segHeaderLen && l.curSize+int64(len(frame)) > l.opt.SegmentBytes) {
 				if len(written) > 0 {
@@ -183,7 +157,7 @@ func (l *Log) commitGroup(group []*pipeReq) {
 				i++
 				break // the torn tail ends this run; sync what preceded it
 			}
-			r.seq = l.nextSeq
+			r.rec.Seq = l.nextSeq
 			l.nextSeq++
 			written = append(written, r)
 			i++
@@ -205,7 +179,7 @@ func (l *Log) commitGroup(group []*pipeReq) {
 			}
 		}
 		for _, r := range written {
-			l.curLast = r.seq
+			l.curLast = r.rec.Seq
 			l.appended++
 			r.done <- nil
 		}

@@ -15,7 +15,7 @@ func TestPipelinedAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		seq, err := l.AppendPipelined("m", batch(i*100, 7))
+		seq, err := l.Append(Record{Metric: "m", Values: batch(i*100, 7)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestPipelinedConcurrentProducersAllDurable(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				seq, err := l.AppendPipelined("m", []float64{float64(p*1000 + i)})
+				seq, err := l.Append(Record{Metric: "m", Values: []float64{float64(p*1000 + i)}})
 				if err != nil {
 					t.Errorf("producer %d append %d: %v", p, i, err)
 					return
@@ -104,16 +104,16 @@ func TestPipelinedFailedSyncFailsWholeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendPipelined("m", batch(0, 3)); err != nil {
+	if _, err := l.Append(Record{Metric: "m", Values: batch(0, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	fsys.FailSyncs(0, 1, errors.New("injected sync failure"))
-	if _, err := l.AppendPipelined("m", batch(100, 3)); err == nil {
+	if _, err := l.Append(Record{Metric: "m", Values: batch(100, 3)}); err == nil {
 		t.Fatal("append acked despite failed fsync")
 	}
 	fsys.ClearFaults()
 	// The log must recover onto a fresh segment and keep accepting.
-	seq, err := l.AppendPipelined("m", batch(200, 3))
+	seq, err := l.Append(Record{Metric: "m", Values: batch(200, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPipelinedFailedWriteDoesNotFailEarlierRun(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				seq, err := l.AppendPipelined("m", []float64{float64(p*100 + i)})
+				seq, err := l.Append(Record{Metric: "m", Values: []float64{float64(p*100 + i)}})
 				mu.Lock()
 				if err != nil {
 					failures++
@@ -189,16 +189,16 @@ func TestPipelinedAppendAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendPipelined("m", batch(0, 2)); err != nil {
+	if _, err := l.Append(Record{Metric: "m", Values: batch(0, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendPipelined("m", batch(0, 2)); !errors.Is(err, ErrClosed) {
+	if _, err := l.Append(Record{Metric: "m", Values: batch(0, 2)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
-	// Close before any pipelined append must also yield ErrClosed.
+	// Close before any append must also yield ErrClosed.
 	l2, err := Open("/wal2", Options{FS: fsys, Sync: SyncEveryBatch})
 	if err != nil {
 		t.Fatal(err)
@@ -206,54 +206,8 @@ func TestPipelinedAppendAfterClose(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l2.AppendPipelined("m", batch(0, 2)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append on never-piped closed log: %v, want ErrClosed", err)
-	}
-}
-
-func TestPipelinedMixedWithPlainAppend(t *testing.T) {
-	fsys := faultfs.NewMem()
-	l, err := Open("/wal", Options{FS: fsys, Sync: SyncEveryBatch, SegmentBytes: 2 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	acked := map[uint64]bool{}
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				var seq uint64
-				var err error
-				if (p+i)%2 == 0 {
-					seq, err = l.Append("m", []float64{float64(p)})
-				} else {
-					seq, err = l.AppendPipelined("m", []float64{float64(p)})
-				}
-				if err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-				mu.Lock()
-				acked[seq] = true
-				mu.Unlock()
-			}
-		}(p)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := collect(t, fsys, "/wal", 0)
-	if len(recs) != 80 {
-		t.Fatalf("replayed %d, want 80", len(recs))
-	}
-	for _, r := range recs {
-		if !acked[r.Seq] {
-			t.Fatalf("replayed un-acked seq %d", r.Seq)
-		}
+	if _, err := l2.Append(Record{Metric: "m", Values: batch(0, 2)}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append on a log closed before any append: %v, want ErrClosed", err)
 	}
 }
 
@@ -261,9 +215,11 @@ func TestPipelinedMixedWithPlainAppend(t *testing.T) {
 // records (sid, cseq) through the group-commit pipeline with a segment cap
 // small enough that the stream rotates every few frames, so records land on
 // both sides of segment boundaries — including as the first frame of a
-// fresh segment. Replay must reproduce every (sid, cseq) pair intact and in
-// order; a mangled pair would silently break binary ingest's exactly-once
-// dedup after recovery.
+// fresh segment. Every third record also carries a backend and a weights
+// lane. Replay must reproduce every (sid, cseq) pair, backend and weight
+// intact and in order; a mangled pair would silently break binary ingest's
+// exactly-once dedup after recovery, a lost backend would change the
+// metric's summary type.
 func TestPipelinedSessionRecordsStraddleSegments(t *testing.T) {
 	fsys := faultfs.NewMem()
 	l, err := Open("/wal", Options{FS: fsys, Sync: SyncEveryBatch, SegmentBytes: 512})
@@ -274,13 +230,17 @@ func TestPipelinedSessionRecordsStraddleSegments(t *testing.T) {
 	for cseq := uint64(1); cseq <= n; cseq++ {
 		// Varying batch sizes move the rotation point around relative to the
 		// record layout, so the sid/cseq fields themselves cross boundaries.
-		if _, err := l.AppendPipelinedSeq("m", batch(int(cseq)*10, 3+int(cseq)%11), sid, cseq); err != nil {
+		rec := Record{Metric: "m", Values: batch(int(cseq)*10, 3+int(cseq)%11), Session: sid, SessionSeq: cseq}
+		if cseq%3 == 0 {
+			rec.Backend, rec.Weights = "weighted", batch(int(cseq), len(rec.Values))
+		}
+		if _, err := l.Append(rec); err != nil {
 			t.Fatalf("append cseq %d: %v", cseq, err)
 		}
 	}
 	// Interleave a plain record to pin that sid 0 still round-trips as "no
 	// session" next to sessioned neighbours.
-	if _, err := l.AppendPipelined("m", batch(0, 2)); err != nil {
+	if _, err := l.Append(Record{Metric: "m", Values: batch(0, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -305,6 +265,13 @@ func TestPipelinedSessionRecordsStraddleSegments(t *testing.T) {
 		}
 		if len(r.Values) != 3+int(cseq)%11 || r.Values[0] != float64(cseq*10) {
 			t.Fatalf("record %d: values mangled alongside the session fields: %v", i, r.Values)
+		}
+		weighted := cseq%3 == 0
+		if (r.Backend == "weighted") != weighted || (r.Weights != nil) != weighted {
+			t.Fatalf("record %d: backend %q weights %v, want weighted=%v", i, r.Backend, r.Weights, weighted)
+		}
+		if weighted && (len(r.Weights) != len(r.Values) || r.Weights[len(r.Weights)-1] != float64(int(cseq)+len(r.Values)-1)) {
+			t.Fatalf("record %d: weights mangled: %v", i, r.Weights)
 		}
 	}
 	if last := recs[n]; last.Session != 0 || last.SessionSeq != 0 {

@@ -17,17 +17,22 @@ import (
 	"mrl/internal/faultfs"
 )
 
-// Record is one replayed batch. Session and SessionSeq are the binary
-// ingest client's (session id, per-session sequence number) pair for
-// records written through AppendSeq; both are zero for plain records.
-// Recovery uses the pair to rebuild dedup high-water marks and to skip a
-// duplicate — the same (Session, SessionSeq) can legitimately appear twice
-// in the log when a failed append's bytes reached the disk anyway and the
-// client's retry was logged again.
+// Record is one logged batch, as Append takes it and Replay hands it back.
+// Backend names the summary the metric runs, so replay recreates the
+// metric under the type it was acknowledged with. Weights, when non-nil,
+// pairs one weight with each value. Session and SessionSeq are the binary
+// ingest client's (session id, per-session sequence number) pair; both are
+// zero for a sessionless batch. Recovery uses the pair to rebuild dedup
+// high-water marks and to skip a duplicate — the same (Session,
+// SessionSeq) can legitimately appear twice in the log when a failed
+// append's bytes reached the disk anyway and the client's retry was logged
+// again.
 type Record struct {
 	Seq        uint64
 	Metric     string
+	Backend    string
 	Values     []float64
+	Weights    []float64
 	Session    uint64
 	SessionSeq uint64
 }
@@ -54,9 +59,11 @@ type ReplayStats struct {
 // Torn tails and corrupt frames are expected after a crash: the first
 // invalid frame of a segment ends that segment (everything after it was
 // never acknowledged under SyncEveryBatch), and replay continues with the
-// next segment. Frames must carry strictly increasing sequence numbers; a
-// regression is treated as corruption. Filesystem errors and callback
-// errors abort the replay and are returned.
+// next segment. A segment shorter than its 5-byte header, or whose header
+// lacks the magic, was torn at creation and holds nothing. Frames must
+// carry strictly increasing sequence numbers; a regression is treated as
+// corruption. A complete header of another segment version, filesystem
+// errors and callback errors abort the replay and are returned.
 func Replay(fsys faultfs.FS, dir string, after uint64, fn func(Record) error) (ReplayStats, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
@@ -131,8 +138,9 @@ type segScan struct {
 }
 
 // readSegment walks one segment's frames, stopping (not failing) at the
-// first torn or corrupt frame. lastSeen carries the monotonic sequence
-// check across segments. fn may be nil for a scan-only pass.
+// first torn or corrupt frame; a complete header of another version fails
+// with ErrSegmentVersion. lastSeen carries the monotonic sequence check
+// across segments. fn may be nil for a scan-only pass.
 func readSegment(fsys faultfs.FS, path string, after uint64, lastSeen *uint64, fn func(Record) error) (segScan, error) {
 	var sc segScan
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
@@ -148,12 +156,14 @@ func readSegment(fsys faultfs.FS, path string, after uint64, lastSeen *uint64, f
 	br := bufio.NewReaderSize(f, 1<<20)
 
 	hdr := make([]byte, segHeaderLen)
-	if _, err := io.ReadFull(br, hdr); err != nil ||
-		string(hdr[:len(segMagic)]) != segMagic || hdr[len(segMagic)] != segVersion {
+	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr[:len(segMagic)]) != segMagic {
 		// A segment without a complete header was torn at creation; it
 		// cannot hold acked frames.
 		sc.truncated = true
 		return sc, nil
+	}
+	if v := hdr[len(segMagic)]; v != segVersion {
+		return sc, fmt.Errorf("%w %d in %s (this build reads version %d)", ErrSegmentVersion, v, path, segVersion)
 	}
 
 	frameHdr := make([]byte, frameHeaderLen)
@@ -204,51 +214,71 @@ func readSegment(fsys faultfs.FS, path string, after uint64, lastSeen *uint64, f
 
 // parseRecord decodes one CRC-verified payload. It still validates shape
 // and content (a CRC only proves the bytes are what was written, not that
-// what was written is sane): lengths must be consistent and values must be
-// ingestible, i.e. no NaN.
+// what was written is sane): lengths must be exact, flags known, values
+// and weights ingestible (no NaN), and a session pair present exactly when
+// both its halves are nonzero.
 func parseRecord(p []byte) (Record, bool) {
-	if len(p) < minPayload || (p[8] != recBatch && p[8] != recBatchSeq) {
+	if len(p) < minPayload || p[8]&^(flagSession|flagWeights) != 0 {
 		return Record{}, false
 	}
-	sessioned := p[8] == recBatchSeq
-	nameLen := int(binary.LittleEndian.Uint16(p[9:]))
-	if nameLen == 0 || len(p) < 11+nameLen+4 {
+	flags := p[8]
+	off := 10 + int(p[9])
+	if len(p) < off+2 {
 		return Record{}, false
 	}
-	metric := string(p[11 : 11+nameLen])
-	off := 11 + nameLen
-	var sid, cseq uint64
-	if sessioned {
-		if len(p) < off+seqFieldsLen+4 {
+	backend := string(p[10:off])
+	nameLen := int(binary.LittleEndian.Uint16(p[off:]))
+	off += 2
+	if nameLen == 0 || len(p) < off+nameLen {
+		return Record{}, false
+	}
+	rec := Record{Seq: binary.LittleEndian.Uint64(p[0:]), Metric: string(p[off : off+nameLen]), Backend: backend}
+	off += nameLen
+	if flags&flagSession != 0 {
+		if len(p) < off+16 {
 			return Record{}, false
 		}
-		sid = binary.LittleEndian.Uint64(p[off:])
-		cseq = binary.LittleEndian.Uint64(p[off+8:])
-		off += seqFieldsLen
+		rec.Session = binary.LittleEndian.Uint64(p[off:])
+		rec.SessionSeq = binary.LittleEndian.Uint64(p[off+8:])
+		off += 16
 		// A sessioned record exists only because a sessioned client sent
 		// it; sid 0 is the reserved "no session" value and cannot appear.
-		if sid == 0 || cseq == 0 {
+		if rec.Session == 0 || rec.SessionSeq == 0 {
 			return Record{}, false
 		}
+	}
+	if len(p) < off+4 {
+		return Record{}, false
 	}
 	count := int(binary.LittleEndian.Uint32(p[off:]))
 	off += 4
-	if len(p) != off+8*count {
+	lanes := 1
+	if flags&flagWeights != 0 {
+		lanes = 2
+	}
+	if len(p)-off != lanes*8*count {
 		return Record{}, false
 	}
-	values := make([]float64, count)
-	for i := range values {
-		values[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
-		if math.IsNaN(values[i]) {
+	var ok bool
+	if rec.Values, ok = readLane(p[off:], count); !ok {
+		return Record{}, false
+	}
+	if lanes == 2 {
+		if rec.Weights, ok = readLane(p[off+8*count:], count); !ok {
 			return Record{}, false
 		}
-		off += 8
 	}
-	return Record{
-		Seq:        binary.LittleEndian.Uint64(p[0:]),
-		Metric:     metric,
-		Values:     values,
-		Session:    sid,
-		SessionSeq: cseq,
-	}, true
+	return rec, true
+}
+
+// readLane decodes count float64s from p, rejecting NaN.
+func readLane(p []byte, count int) ([]float64, bool) {
+	out := make([]float64, count)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		if math.IsNaN(out[i]) {
+			return nil, false
+		}
+	}
+	return out, true
 }

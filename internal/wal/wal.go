@@ -3,12 +3,13 @@
 // framework is single-pass, so an observation lost in a crash can never be
 // re-read — a batch must not be acknowledged until the log says it is safe.
 //
-// Each record carries one (metric, values) batch with a monotonically
-// increasing sequence number. The append path supports three sync
-// policies — fsync every batch (acked ⇒ durable), fsync on an interval
-// (acked batches may lose up to one interval), or never (the OS decides) —
-// and rotates to a fresh segment once the current one exceeds the
-// configured size. Recovery reads the segments in order, verifies each
+// Each record carries one batch — metric, backend, values, optional
+// weights and the binary ingest client's session pair — with a
+// monotonically increasing sequence number. Append is a group commit under
+// one of three sync policies — fsync every batch (acked ⇒ durable), fsync
+// on an interval (acked batches may lose up to one interval), or never (the
+// OS decides) — and rotates to a fresh segment once the current one
+// exceeds the configured size. Recovery reads the segments in order, verifies each
 // frame's CRC, and truncates at the first torn or corrupt frame of a
 // segment, so a crash mid-write costs at most the un-acked tail.
 // Checkpoints record the sequence number they cover; replay applies only
@@ -31,28 +32,32 @@ import (
 
 const (
 	segMagic   = "MRLW"
-	segVersion = 1
+	segVersion = 2
 	// segHeaderLen is magic + version.
 	segHeaderLen = 5
 	// frameHeaderLen is payload length u32 + CRC32C u32.
 	frameHeaderLen = 8
-	// recBatch is the original record type: one (metric, values) batch with
-	// no client identity. The type byte exists so record kinds stay
-	// wire-compatible.
-	recBatch = 1
-	// recBatchSeq is a batch that additionally carries the binary ingest
-	// client's (session id, per-session sequence number) pair, inserted
-	// between the metric name and the value count. Replay threads the pair
-	// back to the caller so the serving layer can rebuild its dedup
-	// high-water marks — and skip a record whose (session, seq) it has
-	// already applied, which happens when a failed append's bytes reached
-	// the disk anyway and the client's retry was logged again.
-	recBatchSeq = 2
-	// minPayload is seq u64 + type u8 + nameLen u16 + count u32.
-	minPayload = 15
-	// seqFieldsLen is the extra session id u64 + client seq u64 of a
-	// recBatchSeq record.
-	seqFieldsLen = 16
+	// Record payload layout (little endian), the only one a version-2
+	// segment holds:
+	//
+	//	seq u64 | flags u8 | backendLen u8 | backend | nameLen u16 | name
+	//	[sid u64 | cseq u64]   when flagSession
+	//	count u32 | values f64 × count
+	//	[weights f64 × count]  when flagWeights
+	//
+	// minPayload is the fixed part: seq + flags + backendLen + nameLen +
+	// count.
+	minPayload = 16
+	// flagSession marks a record carrying the binary ingest client's
+	// (session id, per-session seq) pair. Replay threads the pair back so
+	// the serving layer can rebuild its dedup high-water marks — and skip a
+	// record whose (session, seq) it has already applied, which happens when
+	// a failed append's bytes reached the disk anyway and the client's retry
+	// was logged again.
+	flagSession = 1 << 0
+	// flagWeights marks a record whose values are followed by a lane of
+	// per-value weights, one per value.
+	flagWeights = 1 << 1
 	// maxRecordBytes bounds one framed payload; anything larger in a
 	// segment is corruption, not data.
 	maxRecordBytes = 64 << 20
@@ -66,6 +71,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by appends against a closed log.
 var ErrClosed = errors.New("wal: log closed")
+
+// ErrSegmentVersion is returned by Open and Replay for a segment whose
+// header is complete and carries the segment magic but a version other than
+// the one this package writes. Such a segment is not torn: its records are
+// real and this build cannot read them, so skipping it would silently drop
+// acknowledged data.
+var ErrSegmentVersion = errors.New("wal: unsupported segment version")
 
 // SyncPolicy selects when appended frames are fsynced, i.e. what an ack
 // means.
@@ -157,10 +169,9 @@ type Log struct {
 	closed   bool
 	appended int64
 
-	// pipeOnce/pipeState lazily attach the group-commit pipeline behind
-	// AppendPipelined (see pipeline.go); protected by pipeOnce, not mu.
-	pipeOnce  sync.Once
-	pipeState *pipeline
+	// q is the group-commit queue Append feeds (see pipeline.go); it has
+	// its own lock, so producers enqueue while a group holds mu.
+	q commitQueue
 }
 
 // Open scans dir for existing segments (tolerating torn tails exactly like
@@ -200,6 +211,9 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err := l.rotateLocked(); err != nil {
 		return nil, err
 	}
+	l.q.cond = sync.NewCond(&l.q.mu)
+	l.q.done = make(chan struct{})
+	go l.runCommitter()
 	return l, nil
 }
 
@@ -259,99 +273,49 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// encodeFrame builds one framed record for seq. A nonzero session id
-// produces a recBatchSeq record carrying (sid, cseq); sid == 0 produces the
-// original recBatch layout, so logs written by sessionless servers stay
-// byte-identical to what they were.
-func encodeFrame(seq uint64, metric string, values []float64, sid, cseq uint64) []byte {
-	payloadLen := minPayload + len(metric) + 8*len(values)
-	if sid != 0 {
-		payloadLen += seqFieldsLen
+// payloadLen is the encoded payload size of rec.
+func payloadLen(rec *Record) int {
+	n := minPayload + len(rec.Backend) + len(rec.Metric) + 8*(len(rec.Values)+len(rec.Weights))
+	if rec.Session != 0 {
+		n += 16
 	}
-	buf := make([]byte, frameHeaderLen+payloadLen)
+	return n
+}
+
+// encodeFrame builds one framed record for seq.
+func encodeFrame(seq uint64, rec *Record) []byte {
+	var flags byte
+	if rec.Session != 0 {
+		flags |= flagSession
+	}
+	if rec.Weights != nil {
+		flags |= flagWeights
+	}
+	plen := payloadLen(rec)
+	buf := make([]byte, frameHeaderLen+plen)
 	p := buf[frameHeaderLen:]
 	binary.LittleEndian.PutUint64(p[0:], seq)
-	p[8] = recBatch
-	if sid != 0 {
-		p[8] = recBatchSeq
+	p[8] = flags
+	p[9] = byte(len(rec.Backend))
+	off := 10 + copy(p[10:], rec.Backend)
+	binary.LittleEndian.PutUint16(p[off:], uint16(len(rec.Metric)))
+	off += 2 + copy(p[off+2:], rec.Metric)
+	if rec.Session != 0 {
+		binary.LittleEndian.PutUint64(p[off:], rec.Session)
+		binary.LittleEndian.PutUint64(p[off+8:], rec.SessionSeq)
+		off += 16
 	}
-	binary.LittleEndian.PutUint16(p[9:], uint16(len(metric)))
-	copy(p[11:], metric)
-	off := 11 + len(metric)
-	if sid != 0 {
-		binary.LittleEndian.PutUint64(p[off:], sid)
-		binary.LittleEndian.PutUint64(p[off+8:], cseq)
-		off += seqFieldsLen
-	}
-	binary.LittleEndian.PutUint32(p[off:], uint32(len(values)))
+	binary.LittleEndian.PutUint32(p[off:], uint32(len(rec.Values)))
 	off += 4
-	for _, v := range values {
-		binary.LittleEndian.PutUint64(p[off:], math.Float64bits(v))
-		off += 8
+	for _, lane := range [2][]float64{rec.Values, rec.Weights} {
+		for _, v := range lane {
+			binary.LittleEndian.PutUint64(p[off:], math.Float64bits(v))
+			off += 8
+		}
 	}
-	binary.LittleEndian.PutUint32(buf[0:], uint32(payloadLen))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(plen))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(p, castagnoli))
 	return buf
-}
-
-// Append logs one batch and returns its sequence number. Under
-// SyncEveryBatch a nil return means the batch is durable; under the other
-// policies it means the batch is in the OS pipeline. A non-nil return means
-// the batch must NOT be acknowledged: the segment is sealed and a fresh one
-// started, and the failed frame keeps its (now skipped) sequence number —
-// it may still surface at replay if the kernel flushed it anyway, which is
-// the usual at-least-once caveat on failed acks, but it can never shadow a
-// later acked frame.
-func (l *Log) Append(metric string, values []float64) (uint64, error) {
-	return l.AppendSeq(metric, values, 0, 0)
-}
-
-// AppendSeq is Append for a batch acknowledged to a sessioned binary ingest
-// client: the record additionally carries the client's (session id, seq)
-// pair, which Replay hands back so recovery can rebuild the dedup
-// high-water marks. sid == 0 writes a plain record.
-func (l *Log) AppendSeq(metric string, values []float64, sid, cseq uint64) (uint64, error) {
-	if metric == "" || len(metric) > 1<<16-1 {
-		return 0, fmt.Errorf("wal: metric name length %d outside [1, 65535]", len(metric))
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	frame := encodeFrame(l.nextSeq, metric, values, sid, cseq)
-	if len(frame) > maxRecordBytes {
-		return 0, fmt.Errorf("wal: %d-byte record exceeds %d-byte frame cap", len(frame), maxRecordBytes)
-	}
-	if l.f == nil || l.tainted ||
-		(l.curSize > segHeaderLen && l.curSize+int64(len(frame)) > l.opt.SegmentBytes) {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	n, err := l.f.Write(frame)
-	l.curSize += int64(n)
-	if err != nil {
-		// The failed frame consumes its sequence number: its bytes may
-		// still reach the disk behind our back (the kernel flushes dirty
-		// pages on its own schedule), and a later acked frame reusing the
-		// number would be indistinguishable from it at replay.
-		l.tainted = true
-		l.nextSeq++
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if l.opt.Sync == SyncEveryBatch {
-		if err := l.f.Sync(); err != nil {
-			l.tainted = true
-			l.nextSeq++
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-	}
-	seq := l.nextSeq
-	l.nextSeq++
-	l.curLast = seq
-	l.appended++
-	return seq, nil
 }
 
 // Sync flushes the current segment to stable storage — the periodic call
@@ -414,12 +378,11 @@ func (l *Log) Prune(covered uint64) (int, error) {
 	return removed, firstErr
 }
 
-// Close seals the current segment. Idempotent. A running group-commit
-// pipeline is drained first — queued pipelined batches are committed (or
-// failed) before the segment seals, and later AppendPipelined calls get
-// ErrClosed.
+// Close seals the current segment. Idempotent. The committer is drained
+// first — queued batches are committed (or failed) before the segment
+// seals — and later Append calls get ErrClosed.
 func (l *Log) Close() error {
-	l.stopPipeline()
+	l.stopCommitter()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

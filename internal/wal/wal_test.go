@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mrl/internal/faultfs"
@@ -46,7 +47,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
-				seq, err := l.Append("m", batch(i*100, 7))
+				seq, err := l.Append(Record{Metric: "m", Values: batch(i*100, 7)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,13 +55,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 					t.Fatalf("seq %d on append %d", seq, i)
 				}
 			}
-			if _, err := l.Append("other", nil); err != nil {
+			if _, err := l.Append(Record{Metric: "other", Values: nil}); err != nil {
 				t.Fatal(err) // empty batches are legal frames
 			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := l.Append("m", batch(0, 1)); !errors.Is(err, ErrClosed) {
+			if _, err := l.Append(Record{Metric: "m", Values: batch(0, 1)}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("append after close: %v", err)
 			}
 
@@ -94,7 +95,7 @@ func TestRotationAndOpenResumesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := l.Append("m", batch(i, 10)); err != nil {
+		if _, err := l.Append(Record{Metric: "m", Values: batch(i, 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +115,7 @@ func TestRotationAndOpenResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l2.Append("m", batch(99, 1))
+	seq, err := l2.Append(Record{Metric: "m", Values: batch(99, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append("m", batch(i, 3)); err != nil {
+		if _, err := l.Append(Record{Metric: "m", Values: batch(i, 3)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +194,7 @@ func TestFailedAppendNeverShadowsAckedData(t *testing.T) {
 			}
 			var acked []uint64
 			for i := 0; i < 3; i++ {
-				seq, err := l.Append("m", batch(i, 4))
+				seq, err := l.Append(Record{Metric: "m", Values: batch(i, 4)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,13 +208,13 @@ func TestFailedAppendNeverShadowsAckedData(t *testing.T) {
 			case "sync-failure":
 				mem.FailSyncs(0, 1, nil)
 			}
-			if _, err := l.Append("m", batch(100, 4)); err == nil {
+			if _, err := l.Append(Record{Metric: "m", Values: batch(100, 4)}); err == nil {
 				t.Fatal("injected fault did not surface")
 			}
 			failedSeq := uint64(len(acked) + 1) // consumed, never acked
 			// Writability recovers on the next append, in a fresh segment.
 			for i := 0; i < 3; i++ {
-				seq, err := l.Append("m", batch(200+i, 4))
+				seq, err := l.Append(Record{Metric: "m", Values: batch(200+i, 4)})
 				if err != nil {
 					t.Fatalf("append after fault: %v", err)
 				}
@@ -264,7 +265,7 @@ func TestPrune(t *testing.T) {
 	}
 	var last uint64
 	for i := 0; i < 30; i++ {
-		seq, err := l.Append("m", batch(i, 4))
+		seq, err := l.Append(Record{Metric: "m", Values: batch(i, 4)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +293,7 @@ func TestPrune(t *testing.T) {
 		}
 	}
 	// Pruning everything keeps only the live segment.
-	l.Append("m", batch(0, 1))
+	l.Append(Record{Metric: "m", Values: batch(0, 1)})
 	if _, err := l.Prune(l.LastSeq()); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestSyncIntervalPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := l.Append("m", batch(i, 2)); err != nil {
+		if _, err := l.Append(Record{Metric: "m", Values: batch(i, 2)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +328,7 @@ func TestSyncIntervalPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := l2.Append("m", batch(i, 2)); err != nil {
+		if _, err := l2.Append(Record{Metric: "m", Values: batch(i, 2)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,12 +368,44 @@ func TestAppendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append("", batch(0, 1)); err == nil {
-		t.Error("empty metric name accepted")
+	for name, rec := range map[string]Record{
+		"empty metric name":     {Values: batch(0, 1)},
+		"oversized metric name": {Metric: fmt.Sprintf("%065536d", 0)},
+		"oversized backend":     {Metric: "m", Backend: fmt.Sprintf("%0256d", 0)},
+		"unpaired weights":      {Metric: "m", Values: batch(0, 2), Weights: batch(1, 1)},
+	} {
+		if _, err := l.Append(rec); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := l.Append(fmt.Sprintf("%065536d", 0), nil); err == nil {
-		t.Error("oversized metric name accepted")
+}
+
+// TestSegmentVersionRefused pins the upgrade rule: a segment with a
+// complete header carrying the magic but another version holds real
+// records this build cannot read, so Open and Replay must refuse it with an
+// error naming the version rather than skip it as torn. A header cut short
+// is still a segment torn at creation.
+func TestSegmentVersionRefused(t *testing.T) {
+	mem := faultfs.NewMem()
+	mem.MkdirAll("/wal", 0o755)
+	mem.WriteFile("/wal/wal-00000001.seg", []byte("MRLW\x01\x10\x00\x00\x00"))
+	if _, err := Open("/wal", Options{FS: mem}); !errors.Is(err, ErrSegmentVersion) || !strings.Contains(err.Error(), "version 1 ") {
+		t.Fatalf("Open over a v1 segment: %v, want ErrSegmentVersion naming version 1", err)
 	}
+	if _, err := Replay(mem, "/wal", 0, func(Record) error { return nil }); !errors.Is(err, ErrSegmentVersion) {
+		t.Fatalf("Replay over a v1 segment: %v, want ErrSegmentVersion", err)
+	}
+
+	mem.WriteFile("/wal/wal-00000001.seg", []byte("MRL"))
+	recs, st := collect(t, mem, "/wal", 0)
+	if len(recs) != 0 || st.Truncated != 1 {
+		t.Fatalf("3-byte header: %d records, stats %+v; want a truncated empty segment", len(recs), st)
+	}
+	l, err := Open("/wal", Options{FS: mem})
+	if err != nil {
+		t.Fatalf("Open over a torn header: %v", err)
+	}
+	l.Close()
 }
 
 // TestOpenSeqFloorSurvivesPrune pins the sequence-allocation floor: a
@@ -391,7 +424,7 @@ func TestOpenSeqFloorSurvivesPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := l1.Append("m", batch(i, 2)); err != nil {
+		if _, err := l1.Append(Record{Metric: "m", Values: batch(i, 2)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,7 +452,7 @@ func TestOpenSeqFloorSurvivesPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l3.Append("m", batch(100, 3))
+	seq, err := l3.Append(Record{Metric: "m", Values: batch(100, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}

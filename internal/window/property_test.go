@@ -14,7 +14,8 @@ import (
 // rounds of adds and rotations while mirroring the live windows in an exact
 // oracle, and asserts after every round that the combined answers stay
 // within Bound() of the oracle ranks, that Bound() is exactly the
-// certificate Quantiles reports, and that counts and eviction agree.
+// certificate Quantiles reports, and that counts and eviction agree; and
+// that Bound() allocates nothing.
 func TestRingRotationPropertyVsOracle(t *testing.T) {
 	const (
 		windows   = 4
@@ -114,5 +115,10 @@ func TestRingRotationPropertyVsOracle(t *testing.T) {
 	}
 	if ring.Rotations() == 0 {
 		t.Fatal("property run never rotated; widen the schedule")
+	}
+	// Bound runs under the metric's ingest lock in the serving layer, so it
+	// reads counters and buffer weights only: no buffer is copied.
+	if allocs := testing.AllocsPerRun(100, func() { ring.Bound() }); allocs != 0 {
+		t.Fatalf("Bound allocated %v times per call, want 0", allocs)
 	}
 }

@@ -132,13 +132,13 @@ func (r *Ring) Quantiles(phis []float64) (values []float64, errorBound float64, 
 // quantiles. It is exactly the errorBound Quantiles would report now; an
 // empty ring certifies 0.
 func (r *Ring) Bound() float64 {
-	snaps := make([]parallel.Snapshot, 0, len(r.windows))
+	var acc parallel.BoundAcc
 	for _, w := range r.windows {
-		if w != nil && w.Count() > 0 {
-			snaps = append(snaps, parallel.Snap(w))
+		if w != nil {
+			acc.Add(w)
 		}
 	}
-	return parallel.CombinedBound(snaps)
+	return acc.Bound()
 }
 
 // WindowQuantile answers a quantile over the current window only.

@@ -50,7 +50,8 @@ func (c *Concurrent) parts(extra []Estimator) partsFunc {
 // evaluates only the bound. MRL parts are frozen with parallel.Snap while
 // visited and feed the Section 4.9 combined OUTPUT phase: its pooled Lemma 5
 // accounting over the flat part list certifies a tighter bound than merging
-// first would. Every other backend folds the parts into one estimator and
+// first would. A bound-only MRL combine reads each part's counters and
+// buffer weights under its lock and copies no buffer. Every other backend folds the parts into one estimator and
 // answers with its a-posteriori bound; owned says the parts are private
 // copies the fold may absorb into, otherwise the root is cloned first so
 // the inputs stay untouched. It returns the estimates parallel to phis, the
@@ -58,6 +59,7 @@ func (c *Concurrent) parts(extra []Estimator) partsFunc {
 func combine(backend Backend, parts partsFunc, owned, query bool, phis []float64) (values []float64, bound float64, count int64, err error) {
 	if backend == BackendMRL {
 		var snaps []parallel.Snapshot
+		var acc parallel.BoundAcc
 		err := parts(func(e Estimator) error {
 			s, ok := e.(*Sketch)
 			if !ok {
@@ -66,14 +68,18 @@ func combine(backend Backend, parts partsFunc, owned, query bool, phis []float64
 			if s.smp != nil {
 				return errors.New("quantile: sampled sketches cannot be combined")
 			}
-			snaps = append(snaps, parallel.Snap(s.det))
+			if query {
+				snaps = append(snaps, parallel.Snap(s.det))
+			} else {
+				acc.Add(s.det)
+			}
 			return nil
 		})
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		if !query {
-			return nil, parallel.CombinedBound(snaps), 0, nil
+			return nil, acc.Bound(), 0, nil
 		}
 		res, err := parallel.CombineSnapshots(snaps, phis)
 		if err != nil {
