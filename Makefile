@@ -55,20 +55,17 @@ chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -run 'TestChaos' ./internal/serve/ ./internal/cluster/
 
 # fuzz-smoke gives every fuzz target a short budget; CI runs it after check.
+# The targets come from `go test -list` over the module's packages, so a new
+# Fuzz function is smoked without being listed here.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzSketchVsExact      -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalBinary    -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzRadixSortVsStdlib  -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzOutputSelectVsWalk -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzConcurrentAdd      -fuzztime=$(FUZZTIME) ./quantile/
-	$(GO) test -run='^$$' -fuzz=FuzzSketchBinaryRoundTrip -fuzztime=$(FUZZTIME) ./quantile/
-	$(GO) test -run='^$$' -fuzz=FuzzWALReplay             -fuzztime=$(FUZZTIME) ./internal/wal/
-	$(GO) test -run='^$$' -fuzz=FuzzBinaryFile            -fuzztime=$(FUZZTIME) ./internal/stream/
-	$(GO) test -run='^$$' -fuzz=FuzzKLLBinaryRoundTrip      -fuzztime=$(FUZZTIME) ./internal/kll/
-	$(GO) test -run='^$$' -fuzz=FuzzWeightedBinaryRoundTrip -fuzztime=$(FUZZTIME) ./internal/weighted/
-	$(GO) test -run='^$$' -fuzz=FuzzBinaryIngestFrame       -fuzztime=$(FUZZTIME) ./internal/serve/
-	$(GO) test -run='^$$' -fuzz=FuzzClusterSnapshotFrame    -fuzztime=$(FUZZTIME) ./internal/serve/
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	targets=$$(printf '%s\n' "$$list" | awk '/^Fuzz/ {f[n++] = $$1; next} /^ok/ {for (i = 0; i < n; i++) print $$2 ":" f[i]; n = 0}'); \
+	if [ -z "$$targets" ]; then echo "fuzz-smoke: no fuzz targets found"; exit 1; fi; \
+	for t in $$targets; do \
+		echo "fuzz-smoke: $${t##*:} ($${t%%:*})"; \
+		$(GO) test -run='^$$' -fuzz="^$${t##*:}\$$" -fuzztime=$(FUZZTIME) $${t%%:*}; \
+	done
 
 # cert-smoke runs the guarantee-certification sweep at the CI budget: every
 # policy x order x estimator stack x backend (mrl, kll, weighted) x

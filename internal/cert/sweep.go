@@ -230,7 +230,7 @@ func Scenarios(budget Budget, seed int64) ([]Scenario, error) {
 			Estimator: EstimatorServe,
 			Policy:    "new", Order: order,
 			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis,
-			Shards: 3, Seed: derive(),
+			Seed: derive(),
 		})
 	}
 
@@ -263,7 +263,7 @@ func Scenarios(budget Budget, seed int64) ([]Scenario, error) {
 			Estimator: EstimatorServe, Backend: backend,
 			Policy: "new", Order: "shuffled",
 			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis,
-			Shards: 3, Seed: derive(),
+			Seed: derive(),
 		})
 		for _, order := range []string{"sorted", "shuffled"} {
 			scs = append(scs, Scenario{
@@ -344,7 +344,7 @@ func Scenarios(budget Budget, seed int64) ([]Scenario, error) {
 			Estimator: EstimatorServe, Backend: "weighted", WeightProfile: profile,
 			Policy: "new", Order: "shuffled",
 			Epsilon: epss[len(epss)-1], N: ns[len(ns)-1], Phis: phis,
-			Shards: 3, Seed: derive(),
+			Seed: derive(),
 		})
 	}
 

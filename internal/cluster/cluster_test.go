@@ -201,7 +201,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			epsNode, nNode, _ := NodeProvision(epsilon, total, nNodes)
 			nodes, coord, _ := newMemCluster(t, nNodes, serve.Config{
-				Epsilon: epsNode, N: nNode, Shards: 2, Backend: backend,
+				Epsilon: epsNode, N: nNode, Backend: backend,
 			}, epsilon)
 			per := total / nNodes
 			for i, node := range nodes {
@@ -210,7 +210,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				}
 			}
 
-			singleReg, err := serve.NewRegistry(serve.Config{Epsilon: epsilon, N: total, Shards: 2, Backend: backend})
+			singleReg, err := serve.NewRegistry(serve.Config{Epsilon: epsilon, N: total, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 // interleaved metrics and checks every metric lands wholly on its owning
 // node and queries answer through the same front end.
 func TestClusterIngestRouting(t *testing.T) {
-	nodes, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000, Shards: 1}, 0.01)
+	nodes, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000}, 0.01)
 	front := coord.Handler()
 
 	metrics := []string{"api.latency", "db.latency", "queue.depth", "gc.pause"}
@@ -349,7 +349,7 @@ func TestClusterIngestRouting(t *testing.T) {
 // per-node sequence dedup keeps every batch single-counted even though the
 // session's sequence numbers arrive at each node with gaps.
 func TestForwardBinExactlyOnce(t *testing.T) {
-	_, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000, Shards: 1}, 0.01)
+	_, coord, _ := newMemCluster(t, 3, serve.Config{Epsilon: 0.01, N: 100_000}, 0.01)
 
 	metrics := []string{"m.alpha", "m.beta", "m.gamma", "m.delta"}
 	body := serve.AppendBinPrologueV2(nil)
@@ -396,7 +396,7 @@ func TestQueryPartialDegradation(t *testing.T) {
 	const total, nNodes = 6000, 3
 	data := clusterPerm(total, 5)
 	epsNode, nNode, _ := NodeProvision(0.01, total, nNodes)
-	nodes, coord, tr := newMemCluster(t, nNodes, serve.Config{Epsilon: epsNode, N: nNode, Shards: 1}, 0.01)
+	nodes, coord, tr := newMemCluster(t, nNodes, serve.Config{Epsilon: epsNode, N: nNode}, 0.01)
 	per := total / nNodes
 	for i, node := range nodes {
 		if err := node.reg.Ingest("lat", data[i*per:(i+1)*per]); err != nil {

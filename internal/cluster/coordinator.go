@@ -4,7 +4,7 @@
 // the owning node (binary MRLB bodies are decoded, split per owner, and
 // re-encoded with their session identity and sequence numbers intact, so
 // the exactly-once contract survives the hop); queries fan out to every
-// node, pull per-shard estimator snapshots over the MRLS transfer format,
+// node, pull per-part estimator snapshots over the MRLS transfer format,
 // and combine them through the paper's §4.9 OUTPUT phase.
 //
 // The error contract follows the distributed-summary discipline of

@@ -16,8 +16,8 @@ import (
 // handed off by refcounted pooled ownership — the float64 view parsed out
 // of an MRLB frame, or the array a JSON object decoded into, is applied
 // without ever being copied — and adjacent batches on the same metric are
-// coalesced into one multi-slice AddBatches call, amortising shard locks
-// across the backlog.
+// coalesced into one metric.apply call, amortising the metric lock and the
+// cache invalidation across the backlog.
 //
 // Correctness invariants:
 //
@@ -34,7 +34,7 @@ import (
 //     WAL position.
 //   - Order: one queue per metric, one drainer at a time, FIFO — batches
 //     within a metric apply in ack order, which keeps the JSON-vs-binary
-//     bit-identity differential exact at Shards=1.
+//     bit-identity differential exact.
 //
 // Backpressure is a bounded per-metric queue depth: reservations are taken
 // BEFORE the WAL append, so a shed batch (ErrApplyBacklog) was never made
@@ -383,9 +383,9 @@ func (p *applyPool) noteError(err error) {
 
 // applyRun applies one FIFO run of batches to the metric, coalescing every
 // adjacent stretch that shares a replay flag — weighted batches included —
-// into a single metric.apply call (one gen bump, shard locks amortised
-// across the stretch; element order is preserved, so the result is exactly
-// the sequential application). Buffer references are released as their
+// into a single metric.apply call (one gen bump and one hold of the metric
+// lock across the stretch; element order is preserved, so the result is
+// exactly the sequential application). Buffer references are released as their
 // batches land.
 func (m *metric) applyRun(items []applyItem) {
 	pool := m.q.pool

@@ -20,7 +20,7 @@ import (
 // applyTestConfig is the shared base: barrier-only draining (no workers) so
 // tests control exactly when queued batches apply.
 func applyTestConfig() Config {
-	return Config{Epsilon: 0.01, N: 1_000_000, Shards: 1, Windows: 3, PerWindow: 4096, ApplyWorkers: -1}
+	return Config{Epsilon: 0.01, N: 1_000_000, Windows: 3, PerWindow: 4096, ApplyWorkers: -1}
 }
 
 // enqueueDirect pushes one plain batch through the metric's apply queue the
@@ -130,8 +130,8 @@ func TestAsyncApplyBitIdenticalToSync(t *testing.T) {
 
 // TestApplyCoalescedWeightedBitIdentical is the coalescing differential for
 // weighted metrics: an interleaved mix of weighted and unweighted batches
-// into a weighted-backend metric at Shards=1, queued with no apply workers so
-// one query drains the whole backlog as a single coalesced run, must leave a
+// into a weighted-backend metric, queued with no apply workers so one query
+// drains the whole backlog as a single coalesced run, must leave a
 // byte-identical checkpoint and serve identical /quantile answers (all-time
 // and windowed) to the same batches applied one at a time.
 func TestApplyCoalescedWeightedBitIdentical(t *testing.T) {
@@ -153,7 +153,7 @@ func TestApplyCoalescedWeightedBitIdentical(t *testing.T) {
 	}
 
 	newSrv := func() (*Registry, *Server) {
-		reg, err := NewRegistry(applyTestConfig()) // Shards: 1, ApplyWorkers: -1
+		reg, err := NewRegistry(applyTestConfig()) // ApplyWorkers: -1
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestApplyBackpressureBlocks(t *testing.T) {
 // worker drains, queries, and listings. Run under -race (make race), the
 // point is the detector; the closing accounting check catches lost updates.
 func TestRegistryCreateVsIngestStress(t *testing.T) {
-	cfg := Config{Epsilon: 0.02, N: 100_000, Shards: 1, ApplyWorkers: 2}
+	cfg := Config{Epsilon: 0.02, N: 100_000, ApplyWorkers: 2}
 	reg, err := NewRegistry(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -378,9 +378,9 @@ func TestRegistryCreateVsIngestStress(t *testing.T) {
 
 // TestApplyHandoffZeroAlloc is the satellite allocation gate: the binary
 // ingest handoff — reserve, zero-copy enqueue of a frame-buffer value view,
-// drain through applyPlain into the sharded sketch — allocates nothing per
-// batch at steady state. This is what "the decoded batch is never copied
-// between the wire and the sketch" means, enforced.
+// drain through metric.apply into the metric's estimator — allocates
+// nothing per batch at steady state. This is what "the decoded batch is
+// never copied between the wire and the sketch" means, enforced.
 func TestApplyHandoffZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under the race detector")

@@ -26,7 +26,7 @@ func TestRegistryBackendConfig(t *testing.T) {
 }
 
 func TestEnsureBackendAndMismatch(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestEnsureBackendAndMismatch(t *testing.T) {
 // must pair up positive and finite, and an accepted batch is answered by
 // weight.
 func TestIngestWeighted(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestIngestWeighted(t *testing.T) {
 // ingest endpoint serves for backend misuse, so the wire contract cannot
 // drift silently.
 func TestBackendErrorBodies(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBackendErrorBodies(t *testing.T) {
 // restores them into a fresh registry: backends, counts and answers must
 // survive, and the restored baselines must absorb into the next checkpoint.
 func TestCheckpointBackendRoundTrip(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg2, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2})
+	reg2, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestCheckpointBackendRoundTrip(t *testing.T) {
 	if err := reg2.WriteCheckpoint(&buf2, 43); err != nil {
 		t.Fatal(err)
 	}
-	reg3, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2})
+	reg3, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestBackendWALReplay(t *testing.T) {
 		t.Run("second-default="+secondDefault, func(t *testing.T) {
 			dir := t.TempDir()
 			mk := func(backend string) (*Registry, *Server) {
-				reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Shards: 2, Backend: backend})
+				reg, err := NewRegistry(Config{Epsilon: 0.01, N: 50_000, Backend: backend})
 				if err != nil {
 					t.Fatal(err)
 				}

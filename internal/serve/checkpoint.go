@@ -33,8 +33,8 @@ import (
 // Each blob is one sealed estimator of the metric's backend in its
 // MarshalBinary wire format, so a checkpoint is just a named bundle of the
 // library's existing serialised summaries. A metric normally carries one
-// blob (the live shards sealed and absorbed with any previously restored
-// baseline); it carries more only when a baseline restored from an older
+// blob (a copy of the live estimator with any previously restored baseline
+// absorbed); it carries more only when a baseline restored from an older
 // checkpoint cannot be absorbed (an MRL geometry mismatch) — those are kept
 // verbatim and recombined at query time instead.
 const (
@@ -46,39 +46,46 @@ const (
 )
 
 // checkpointEstimators collapses the metric's durable state into standalone
-// estimators: the live shards sealed into one summary, with every restored
-// baseline absorbed in when possible (kept as separate blobs when not).
-// The live structures are untouched.
+// estimators: a copy of its first non-empty part (the live estimator, taken
+// under the metric lock, unless it is empty), with every later part
+// absorbed in when possible (kept as a separate blob when not). The live
+// structures are untouched.
 func (m *metric) checkpointEstimators() ([]quantile.Estimator, error) {
-	restored := m.snapshotRestored()
-	if m.all.Count() == 0 {
-		return restored, nil
-	}
-	sealed, err := m.all.SealEstimator()
+	var out []quantile.Estimator
+	err := m.parts()(func(e quantile.Estimator) error {
+		switch {
+		case e.Count() == 0:
+		case out == nil:
+			s, err := quantile.SnapshotEstimator(e)
+			if err != nil {
+				return err
+			}
+			sealed, err := quantile.RestoreEstimatorSnapshot(s)
+			out = append(out, sealed)
+			return err
+		case out[0].Absorb(e) != nil:
+			out = append(out, e)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: sealing %q: %w", m.name, err)
-	}
-	out := []quantile.Estimator{sealed}
-	for _, r := range restored {
-		if err := sealed.Absorb(r); err != nil {
-			out = append(out, r)
-		}
 	}
 	return out, nil
 }
 
 // WriteCheckpoint seals every metric and writes one checkpoint to w,
 // covering WAL position walSeq (0 for registries without a log).
-// Ingestion may continue concurrently; each metric is cut atomically per
-// shard (the usual read-during-write contract of the sketches). Callers
+// Ingestion may continue concurrently; each metric is cut atomically under
+// its lock (the usual read-during-write contract of the sketches). Callers
 // that need the cut to be exact against walSeq must stop ingestion around
 // the call — Server does, via its ingest gate.
 func (r *Registry) WriteCheckpoint(w io.Writer, walSeq uint64) error {
 	// Checkpoint barrier: fold every acked-but-unapplied batch in before
 	// sealing. Under the Server's exclusive ingest gate no new enqueues can
 	// race this, so the encoded sketches contain exactly the batches at or
-	// below walSeq; library callers without a gate get the per-shard-atomic
-	// cut they always had.
+	// below walSeq; library callers without a gate get a per-metric-atomic
+	// cut.
 	r.drainAll()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(ckptMagic); err != nil {
@@ -209,13 +216,13 @@ func (r *Registry) SaveCheckpoint(path string) error {
 }
 
 // Restore reads a checkpoint and installs each metric's sketches as
-// restored baselines: all-time queries combine them with the live shards
-// from then on. It returns the WAL position the checkpoint covers, so the
-// caller can replay only the log suffix. Metrics are created as needed;
-// restoring on top of live data is allowed (the baselines simply add to
-// it). Tumbling windows are deliberately not checkpointed — they describe
-// "recent" data, which a restart makes stale by definition — so restored
-// metrics start with empty rings.
+// restored baselines: all-time queries combine them with the live
+// estimator from then on. It returns the WAL position the checkpoint
+// covers, so the caller can replay only the log suffix. Metrics are
+// created as needed; restoring on top of live data is allowed (the
+// baselines simply add to it). Tumbling windows are deliberately not
+// checkpointed — they describe "recent" data, which a restart makes stale
+// by definition — so restored metrics start with empty rings.
 func (r *Registry) Restore(src io.Reader) (uint64, error) {
 	br := bufio.NewReader(src)
 	magic := make([]byte, len(ckptMagic))

@@ -122,26 +122,36 @@ func TestCheckpointMergesBaselines(t *testing.T) {
 	checkWithinBound(t, sorted, []float64{0.5}, res.Values, res.ErrorBound, "merged")
 }
 
-// TestCheckpointRestoredBoundCountsAbsorbs: a checkpoint seals a metric's
-// shards into one sketch by absorbing them, so the restored baseline carries
-// Absorbs >= shards-1. After a restart the served all-time bound (query and
-// /metricsz alike) must be that baseline's own certificate, absorbs charged,
-// not half a rank per absorb less.
+// TestCheckpointRestoredBoundCountsAbsorbs: a checkpoint absorbs a metric's
+// restored baseline into the copy of its live estimator, so the next
+// restored baseline carries Absorbs >= 1. After a restart the served
+// all-time bound (query and /metricsz alike) must be that baseline's own
+// certificate, absorbs charged, not half a rank per absorb less.
 func TestCheckpointRestoredBoundCountsAbsorbs(t *testing.T) {
-	cfg := testConfig() // Shards: 2
+	cfg := testConfig()
+	data := permutation(20_000)
+	gen0, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen0.Ingest("m", data[:10_000]); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gen0.WriteCheckpoint(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
 	gen1, err := NewRegistry(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gen1.Ingest("m", permutation(20_000)); err != nil {
+	if _, err := gen1.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	for i, n := range gen1.get("m").all.ShardCounts() {
-		if n == 0 {
-			t.Fatalf("shard %d holds no data; the checkpoint would seal without an absorb", i)
-		}
+	if err := gen1.Ingest("m", data[10_000:]); err != nil {
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	buf.Reset()
 	if err := gen1.WriteCheckpoint(&buf, 0); err != nil {
 		t.Fatal(err)
 	}

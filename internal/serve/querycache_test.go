@@ -12,7 +12,7 @@ import (
 
 func newCacheTestServer(t *testing.T, opt Options) *Server {
 	t.Helper()
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 1_000_000, Shards: 1, Windows: 3, PerWindow: 100_000})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 1_000_000, Windows: 3, PerWindow: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPprofMounting(t *testing.T) {
 // windowed; every answer must count at least the values acked before the
 // query was sent. Run it under -race for the interleavings.
 func TestQueryCacheReadYourAcks(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.001, N: 10_000_000, Shards: 1, Windows: 2, PerWindow: 5_000_000})
+	reg, err := NewRegistry(Config{Epsilon: 0.001, N: 10_000_000, Windows: 2, PerWindow: 5_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package serve is the embeddable HTTP quantile-serving subsystem: a
-// named-metric registry pairing a concurrent all-time sketch
-// (quantile.Concurrent) with a tumbling-window ring (window.Ring) per
-// metric, an HTTP API to ingest values and query quantiles with their live
-// Section 4.9 / Lemma 5 error bounds, and a checkpoint/restore path built
-// on the sketch binary wire format. cmd/quantiled wraps it as a standalone
+// named-metric registry pairing one all-time estimator (quantile.Estimator)
+// with a tumbling-window ring (window.Ring) per metric, an HTTP API to
+// ingest values and query quantiles with their live Section 4.9 / Lemma 5
+// error bounds, and a checkpoint/restore path built on the sketch binary
+// wire format. cmd/quantiled wraps it as a standalone
 // daemon; embedders mount Server.Handler() wherever they already serve HTTP.
 package serve
 
@@ -66,9 +66,6 @@ type Config struct {
 	// for.
 	N int64
 
-	// Shards is the writer-shard count per metric; 0 means one per core.
-	Shards int
-
 	// Windows is the tumbling-window ring length per metric ("last W
 	// windows"); 0 disables windowed serving entirely.
 	Windows int
@@ -111,18 +108,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metric is one named stream: a concurrent all-time sketch, an optional
-// windowed ring, restored checkpoint baselines, and ingest accounting.
+// metric is one named stream: one all-time estimator, an optional windowed
+// ring, restored checkpoint baselines, and ingest accounting.
 type metric struct {
 	name    string
 	backend quantile.Backend
-	all     *quantile.Concurrent
 
 	ingested atomic.Int64 // values accepted through Ingest
 	batches  atomic.Int64 // Ingest calls that touched this metric
 	replayed atomic.Int64 // values re-applied from the WAL at recovery
 
-	mu   sync.Mutex // guards ring (window.Ring is not concurrency-safe)
+	mu   sync.Mutex // guards est and ring (neither is concurrency-safe)
+	est  quantile.Estimator
 	ring *window.Ring
 
 	resMu    sync.RWMutex // guards restored
@@ -160,25 +157,31 @@ type queryCacheEntry struct {
 const queryCacheMaxEntries = 128
 
 // metricSeed derives a stable per-metric seed for backends that flip coins
-// (KLL compactions), so a restarted process provisions identical shards.
+// (KLL compactions), so a restarted process provisions an identical
+// estimator.
 func metricSeed(name string) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
 	return int64(h.Sum64())
 }
 
+// metricEpsilonShare plans a metric's one all-time estimator at Epsilon/2.
+// Writes reach a metric one drainer at a time, so per-core shards bought no
+// parallelism; one sketch at Epsilon/2 takes the space two Epsilon-planned
+// shards did (62,168 vs 62,176 MRL elements at Epsilon=0.001, N=50M) and
+// certifies a lower bound (bound/N 0.000221 vs 0.000327 at 300k values).
+const metricEpsilonShare = 0.5
+
 func newMetric(name string, cfg Config, b quantile.Backend) (*metric, error) {
-	all, err := quantile.NewConcurrent(quantile.ConcurrentConfig{
-		Epsilon: cfg.Epsilon,
+	est, err := quantile.NewEstimator(b, quantile.Config{
+		Epsilon: cfg.Epsilon * metricEpsilonShare,
 		N:       cfg.N,
-		Shards:  cfg.Shards,
-		Backend: b,
 		Seed:    metricSeed(name),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: metric %q: %w", name, err)
 	}
-	m := &metric{name: name, backend: b, all: all, cache: make(map[queryCacheKey]queryCacheEntry)}
+	m := &metric{name: name, backend: b, est: est, cache: make(map[queryCacheKey]queryCacheEntry)}
 	if cfg.Windows > 0 {
 		ring, err := window.NewRing(cfg.Windows, cfg.WindowEpsilon, cfg.PerWindow)
 		if err != nil {
@@ -371,11 +374,11 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Ingest routes one batch of values into the metric's all-time sketch (via
-// the sharded AddBatch fast path) and its current tumbling window. The
-// metric is created on first use. Ingestion is all-or-nothing: a NaN
-// anywhere rejects the whole batch before either structure consumes an
-// element. Empty batches are accepted as no-ops.
+// Ingest routes one batch of values into the metric's all-time estimator
+// and its current tumbling window. The metric is created on first use.
+// Ingestion is all-or-nothing: a NaN anywhere rejects the whole batch
+// before either structure consumes an element. Empty batches are accepted
+// as no-ops.
 func (r *Registry) Ingest(name string, vs []float64) error {
 	m, err := r.getOrCreate(name)
 	if err != nil {
@@ -387,15 +390,14 @@ func (r *Registry) Ingest(name string, vs []float64) error {
 	return m.apply([][]float64{vs}, nil, false)
 }
 
-// apply folds a run of batches into the metric in one multi-slice
-// AddBatches pass — the single apply path shared by synchronous ingest, the
-// async drainers and WAL replay. wss is nil for a run without weights,
-// else parallel to vss with nil entries for unweighted batches. Replay
-// bypasses the window ring and counts values as replayed; the ring only
-// ever takes unweighted batches (it summarises unweighted recency). Element
-// order across the slices is exactly the order given, so the result is
-// identical to applying the batches one by one. Batches are validated by
-// the caller.
+// apply folds a run of batches into the metric under one hold of its lock
+// — the single apply path shared by synchronous ingest, the async drainers
+// and WAL replay. wss is nil for a run without weights, else parallel to
+// vss with nil entries for unweighted batches. Replay bypasses the window
+// ring and counts values as replayed; the ring only ever takes unweighted
+// batches (it summarises unweighted recency). The batches apply in the
+// order given, so a coalesced run leaves exactly the state of applying
+// them one by one. Batches are validated by the caller.
 func (m *metric) apply(vss, wss [][]float64, replay bool) error {
 	var n int64
 	for _, vs := range vss {
@@ -411,27 +413,36 @@ func (m *metric) apply(vss, wss [][]float64, replay bool) error {
 	// apply then caches under the pre-write generation, which the bump
 	// invalidates (see QuantilesCached).
 	defer m.gen.Add(1)
-	if err := m.all.AddBatches(vss, wss); err != nil {
-		return err
-	}
-	if replay {
-		m.replayed.Add(n)
-		return nil
-	}
-	if m.ring != nil {
-		m.mu.Lock()
-		for i, vs := range vss {
-			if len(vs) == 0 || (wss != nil && wss[i] != nil) {
-				continue
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, vs := range vss {
+		if len(vs) == 0 {
+			continue
+		}
+		if wss != nil && wss[i] != nil {
+			w, ok := m.est.(*quantile.Weighted)
+			if !ok {
+				return fmt.Errorf("%w: metric %q runs %q", ErrWeightsUnsupported, m.name, m.backend)
 			}
+			if err := w.AddWeightedBatch(vs, wss[i]); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := m.est.AddBatch(vs); err != nil {
+			return err
+		}
+		if m.ring != nil && !replay {
 			if err := m.ring.AddBatch(vs); err != nil {
-				m.mu.Unlock()
 				return err
 			}
 		}
-		m.mu.Unlock()
 	}
-	m.ingested.Add(n)
+	if replay {
+		m.replayed.Add(n)
+	} else {
+		m.ingested.Add(n)
+	}
 	return nil
 }
 
@@ -578,17 +589,19 @@ type QueryResult struct {
 	Count int64
 	// ErrorBound is the worst-case rank error of every value, certified by
 	// the combined Lemma 5 accounting for the collapses that actually
-	// happened (all-time: live shards plus restored checkpoints; windowed:
-	// the live windows).
+	// happened (all-time: the live estimator plus restored checkpoints;
+	// windowed: the live windows).
 	ErrorBound float64
 	// Epsilon is ErrorBound normalised by Count — the epsilon this answer
 	// actually certifies at query time.
 	Epsilon float64
 }
 
-// Quantiles answers phis for the named metric: all-time (live shards plus
-// any restored checkpoint baselines) or, with windowed set, over the union
-// of the live tumbling windows.
+// Quantiles answers phis for the named metric: all-time (the live estimator
+// plus any restored checkpoint baselines) or, with windowed set, over the
+// union of the live tumbling windows. A metric that holds no data yet
+// answers as an unknown one: the error matches both ErrUnknownMetric and
+// quantile.ErrEmpty.
 func (r *Registry) Quantiles(name string, phis []float64, windowed bool) (QueryResult, error) {
 	m := r.get(name)
 	if m == nil {
@@ -596,10 +609,7 @@ func (r *Registry) Quantiles(name string, phis []float64, windowed bool) (QueryR
 	}
 	// Read-your-acks: apply everything acked before the query arrived.
 	m.q.drain(m)
-	if windowed {
-		return m.queryWindow(phis)
-	}
-	return m.queryAllTime(phis)
+	return m.query(phis, windowed)
 }
 
 // QuantilesCached is Quantiles behind a generation-stamped per-metric cache:
@@ -627,13 +637,7 @@ func (r *Registry) QuantilesCached(name, rawKey string, phis []float64, windowed
 	m.cacheMu.Unlock()
 	r.cacheMisses.Add(1)
 
-	var res QueryResult
-	var err error
-	if windowed {
-		res, err = m.queryWindow(phis)
-	} else {
-		res, err = m.queryAllTime(phis)
-	}
+	res, err := m.query(phis, windowed)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -673,33 +677,56 @@ func (m *metric) snapshotRestored() []quantile.Estimator {
 	return append([]quantile.Estimator(nil), m.restored...)
 }
 
-func (m *metric) queryAllTime(phis []float64) (QueryResult, error) {
-	values, bound, count, err := m.all.CombineEstimators(m.snapshotRestored(), phis)
+// parts enumerates the metric's all-time state for quantile.CombineParts:
+// the live estimator, visited under the metric lock, then every restored
+// checkpoint baseline.
+func (m *metric) parts() quantile.Parts {
+	restored := m.snapshotRestored()
+	return func(visit func(quantile.Estimator) error) error {
+		m.mu.Lock()
+		err := visit(m.est)
+		m.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		for _, e := range restored {
+			if err := visit(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// query answers phis all-time or over the live windows, without the drain
+// barrier its callers run first.
+func (m *metric) query(phis []float64, windowed bool) (QueryResult, error) {
+	var values []float64
+	var bound float64
+	var count int64
+	var err error
+	if windowed {
+		if m.ring == nil {
+			return QueryResult{}, ErrWindowingDisabled
+		}
+		m.mu.Lock()
+		values, bound, err = m.ring.Quantiles(phis)
+		count = m.ring.Count()
+		m.mu.Unlock()
+	} else {
+		values, bound, count, err = quantile.CombineParts(m.backend, m.parts(), phis)
+	}
+	if errors.Is(err, quantile.ErrEmpty) {
+		return QueryResult{}, fmt.Errorf("%w: %q holds no data yet: %w", ErrUnknownMetric, m.name, err)
+	}
 	if err != nil {
 		return QueryResult{}, err
 	}
-	return newQueryResult(values, bound, count), nil
-}
-
-func (m *metric) queryWindow(phis []float64) (QueryResult, error) {
-	if m.ring == nil {
-		return QueryResult{}, ErrWindowingDisabled
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	values, bound, err := m.ring.Quantiles(phis)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return newQueryResult(values, bound, m.ring.Count()), nil
-}
-
-func newQueryResult(values []float64, bound float64, count int64) QueryResult {
 	res := QueryResult{Values: values, Count: count, ErrorBound: bound}
 	if count > 0 {
 		res.Epsilon = bound / float64(count)
 	}
-	return res
+	return res, nil
 }
 
 // WindowStatus is the observability view of one metric's tumbling-window
@@ -727,7 +754,7 @@ type MetricStatus struct {
 	// Count is the all-time element count, restored checkpoints included.
 	Count int64 `json:"count"`
 	// RestoredCount is the portion of Count carried by restored
-	// checkpoints rather than live shards.
+	// checkpoints rather than the live estimator.
 	RestoredCount int64 `json:"restoredCount"`
 	// IngestedValues and IngestBatches count what arrived through Ingest
 	// in this process's lifetime (restored data excluded).
@@ -736,15 +763,12 @@ type MetricStatus struct {
 	// ReplayedValues counts values re-applied from the write-ahead log at
 	// recovery — acked by a previous process, re-ingested by this one.
 	ReplayedValues int64 `json:"replayedValues"`
-	// Shards and ShardCounts expose writer-shard occupancy.
-	Shards      int     `json:"shards"`
-	ShardCounts []int64 `json:"shardCounts"`
-	// MemoryElements is the total buffer footprint (shards + restored +
-	// windows), in elements.
+	// MemoryElements is the total buffer footprint (live estimator +
+	// restored + windows), in elements.
 	MemoryElements int64 `json:"memoryElements"`
-	// Collapses, WeightSum and Fallbacks are the pooled collapse counters
-	// across shards (Figure 5 symbols; fallbacks > 0 means the metric was
-	// driven past its provisioned capacity). MRL-only; zero elsewhere.
+	// Collapses, WeightSum and Fallbacks are the live estimator's collapse
+	// counters (Figure 5 symbols; fallbacks > 0 means the metric was driven
+	// past its provisioned capacity). MRL-only; zero elsewhere.
 	Collapses int64 `json:"collapses"`
 	WeightSum int64 `json:"weightSum"`
 	Fallbacks int64 `json:"fallbacks"`
@@ -774,33 +798,30 @@ func (r *Registry) Status() []MetricStatus {
 }
 
 func (m *metric) status() MetricStatus {
-	restored := m.snapshotRestored()
-	var restoredCount, restoredMem int64
-	for _, e := range restored {
-		restoredCount += e.Count()
-		restoredMem += int64(e.EstimatorStats().MemoryElements)
-	}
-	st := m.all.Stats()
 	out := MetricStatus{
 		Name:                m.name,
 		Backend:             string(m.backend),
-		Count:               m.all.Count() + restoredCount,
-		RestoredCount:       restoredCount,
 		IngestedValues:      m.ingested.Load(),
 		IngestBatches:       m.batches.Load(),
 		ReplayedValues:      m.replayed.Load(),
-		Shards:              m.all.Shards(),
-		ShardCounts:         m.all.ShardCounts(),
-		MemoryElements:      int64(m.all.MemoryElements()) + restoredMem,
-		Collapses:           st.Collapses,
-		WeightSum:           st.WeightSum,
-		Fallbacks:           st.Fallbacks,
-		Compactions:         m.all.EstimatorStats().Compactions,
-		ErrorBound:          m.all.BoundEstimators(restored),
 		PendingApplyBatches: m.q.pending(),
 	}
+	for _, e := range m.snapshotRestored() {
+		out.RestoredCount += e.Count()
+		out.MemoryElements += int64(e.EstimatorStats().MemoryElements)
+	}
+	_, out.ErrorBound, _, _ = quantile.CombineParts(m.backend, m.parts(), nil)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	est := m.est.EstimatorStats()
+	out.Count = out.RestoredCount + est.Count
+	out.MemoryElements += int64(est.MemoryElements)
+	out.Compactions = est.Compactions
+	if s, ok := m.est.(*quantile.Sketch); ok {
+		st := s.Stats()
+		out.Collapses, out.WeightSum, out.Fallbacks = st.Collapses, st.WeightSum, st.Fallbacks
+	}
 	if m.ring != nil {
-		m.mu.Lock()
 		out.Window = &WindowStatus{
 			Live:           m.ring.Windows(),
 			Count:          m.ring.Count(),
@@ -809,7 +830,6 @@ func (m *metric) status() MetricStatus {
 			Rotations:      m.ring.Rotations(),
 		}
 		out.MemoryElements += out.Window.MemoryElements
-		m.mu.Unlock()
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math"
+	"net/http"
 	"sort"
 	"strings"
 	"testing"
@@ -11,16 +12,15 @@ import (
 )
 
 func testConfig() Config {
-	return Config{Epsilon: 0.01, N: 100_000, Shards: 2, Windows: 3, PerWindow: 20_000}
+	return Config{Epsilon: 0.01, N: 100_000, Windows: 3, PerWindow: 20_000}
 }
 
 func TestRegistryConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"zero":              {},
-		"bad epsilon":       {Epsilon: 2, N: 1000},
-		"bad n":             {Epsilon: 0.01, N: 0},
-		"window no cap":     {Epsilon: 0.01, N: 1000, Windows: 3},
-		"too tight sharded": {Epsilon: 0.0001, N: 100, Shards: 8},
+		"zero":          {},
+		"bad epsilon":   {Epsilon: 2, N: 1000},
+		"bad n":         {Epsilon: 0.01, N: 0},
+		"window no cap": {Epsilon: 0.01, N: 1000, Windows: 3},
 	} {
 		if _, err := NewRegistry(cfg); err == nil {
 			t.Errorf("%s config accepted: %+v", name, cfg)
@@ -101,7 +101,7 @@ func TestRegistryQuantilesAgreeWithOracle(t *testing.T) {
 }
 
 func TestRegistryQueryErrors(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2}) // no windowing
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000}) // no windowing
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,37 @@ func TestRegistryQueryErrors(t *testing.T) {
 	}
 }
 
+// TestRegistryEmptyMetricAnswersUnknown: a metric that exists but holds no
+// data yet answers every query — all-time and windowed, each backend, cached
+// or not — with one error that is both ErrUnknownMetric and
+// quantile.ErrEmpty, so callers that accept "not there yet" need one check.
+func TestRegistryEmptyMetricAnswersUnknown(t *testing.T) {
+	reg, err := NewRegistry(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	for _, backend := range []string{"mrl", "kll", "weighted"} {
+		if err := reg.EnsureBackend(backend, backend); err != nil {
+			t.Fatal(err)
+		}
+		for _, windowed := range []bool{false, true} {
+			_, err := reg.Quantiles(backend, []float64{0.5}, windowed)
+			_, cachedErr := reg.QuantilesCached(backend, "0.5", []float64{0.5}, windowed)
+			for _, err := range []error{err, cachedErr} {
+				if !errors.Is(err, ErrUnknownMetric) || !errors.Is(err, quantile.ErrEmpty) {
+					t.Errorf("%s windowed=%v: %v, want ErrUnknownMetric and quantile.ErrEmpty", backend, windowed, err)
+				}
+				if got := statusFor(err); got != http.StatusNotFound {
+					t.Errorf("%s windowed=%v: status %d, want 404", backend, windowed, got)
+				}
+			}
+		}
+	}
+}
+
 func TestRegistryRotateAllSkipsAndEvicts(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 100_000, Shards: 2, Windows: 2, PerWindow: 10_000})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 100_000, Windows: 2, PerWindow: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

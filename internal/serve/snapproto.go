@@ -174,35 +174,30 @@ func parseSnapshotPart(p []byte) (SnapshotPart, error) {
 	}, nil
 }
 
-// SnapshotParts freezes a metric's complete all-time state — live shards
-// plus any restored checkpoint baselines — as transferable snapshot parts,
-// after the read-your-acks drain barrier every query path runs. An
-// existing metric with no data returns zero parts; an unknown metric
-// returns ErrUnknownMetric, so a coordinator can tell "empty here" from
-// "never heard of it" from "unreachable".
+// SnapshotParts freezes a metric's complete all-time state — the live
+// estimator plus any restored checkpoint baselines, one part each — as
+// transferable snapshot parts, after the read-your-acks drain barrier every
+// query path runs. Empty parts are left out: an existing metric with no
+// data returns zero parts; an unknown metric returns ErrUnknownMetric, so a
+// coordinator can tell "empty here" from "never heard of it" from
+// "unreachable".
 func (r *Registry) SnapshotParts(name string) ([]SnapshotPart, error) {
 	m := r.get(name)
 	if m == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownMetric, name)
 	}
 	m.q.drain(m)
-	snaps, err := m.all.EstimatorSnapshots()
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range m.snapshotRestored() {
-		if e == nil || e.Count() == 0 {
-			continue
+	var parts []SnapshotPart
+	err := m.parts()(func(e quantile.Estimator) error {
+		if e.Count() == 0 {
+			return nil
 		}
 		s, err := quantile.SnapshotEstimator(e)
-		if err != nil {
-			return nil, err
-		}
-		snaps = append(snaps, s)
-	}
-	parts := make([]SnapshotPart, len(snaps))
-	for i, s := range snaps {
-		parts[i] = SnapshotPart{Backend: string(s.Backend), Count: s.Count, Blob: s.Blob}
+		parts = append(parts, SnapshotPart{Backend: string(s.Backend), Count: s.Count, Blob: s.Blob})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return parts, nil
 }

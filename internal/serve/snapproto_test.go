@@ -97,7 +97,7 @@ func TestSnapshotDocRejectsCorruption(t *testing.T) {
 }
 
 func TestSnapshotEndpoint(t *testing.T) {
-	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000, Shards: 2})
+	reg, err := NewRegistry(Config{Epsilon: 0.01, N: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -61,6 +62,15 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	}
 	if n := frameHeaderLen + payloadLen(&rec); n > maxRecordBytes {
 		return 0, fmt.Errorf("wal: %d-byte record exceeds %d-byte frame cap", n, maxRecordBytes)
+	}
+	// Replay reads a NaN as corruption and ends the segment there, so one
+	// acked NaN would lose every later record of its segment.
+	for _, lane := range [2][]float64{rec.Values, rec.Weights} {
+		for i, v := range lane {
+			if math.IsNaN(v) {
+				return 0, fmt.Errorf("wal: NaN at element %d has no rank and cannot be logged", i)
+			}
+		}
 	}
 	r := &pipeReq{rec: rec, done: make(chan error, 1)}
 	q := &l.q

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -377,6 +378,38 @@ func TestAppendValidation(t *testing.T) {
 		if _, err := l.Append(rec); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// TestAppendRefusesNaN: replay reads a NaN value or weight as corruption and
+// ends the segment there, so Append must refuse one instead of acking it —
+// otherwise every acked record after it in the segment is lost at replay.
+func TestAppendRefusesNaN(t *testing.T) {
+	mem := faultfs.NewMem()
+	l, err := Open("/wal", Options{FS: mem, Sync: SyncEveryBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(Record{Metric: "m", Values: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string]Record{
+		"NaN value":  {Metric: "m", Values: []float64{math.NaN()}},
+		"NaN weight": {Metric: "m", Values: []float64{2}, Weights: []float64{math.NaN()}},
+	} {
+		if _, err := l.Append(rec); err == nil {
+			t.Errorf("%s acked", name)
+		}
+	}
+	if _, err := l.Append(Record{Metric: "m", Values: []float64{3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, st := collect(t, mem, "/wal", 0)
+	if len(recs) != 2 || st.Truncated != 0 || recs[0].Values[0] != 1 || recs[1].Values[0] != 3 {
+		t.Fatalf("replay: %+v, stats %+v; want the records 1 and 3 untruncated", recs, st)
 	}
 }
 

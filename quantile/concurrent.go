@@ -327,7 +327,7 @@ func weightsAt(wss [][]float64, i int) []float64 {
 // combined worst-case rank error certified for them (divide by Count for the
 // epsilon it certifies).
 func (c *Concurrent) QuantilesWithBound(phis []float64) (values []float64, errorBound float64, err error) {
-	values, errorBound, _, err = c.CombineEstimators(nil, phis)
+	values, errorBound, _, err = CombineParts(c.backend, c.parts(), phis)
 	return values, errorBound, err
 }
 
@@ -354,7 +354,13 @@ func (c *Concurrent) Median() (float64, error) { return c.Quantile(0.5) }
 // ErrorBound returns the current combined worst-case rank error of any
 // reported quantile, certified for the data actually consumed (for MRL, the
 // pooled Lemma 5 accounting of all shards).
-func (c *Concurrent) ErrorBound() float64 { return c.BoundEstimators(nil) }
+func (c *Concurrent) ErrorBound() float64 {
+	_, bound, _, err := CombineParts(c.backend, c.parts(), nil)
+	if err != nil {
+		return 0
+	}
+	return bound
+}
 
 // Count returns the number of stream elements consumed across all shards.
 func (c *Concurrent) Count() int64 {
@@ -398,9 +404,6 @@ func (c *Concurrent) extreme(get func(Estimator) (float64, error), pick func(flo
 	return best, nil
 }
 
-// Shards returns the number of writer shards.
-func (c *Concurrent) Shards() int { return len(c.shards) }
-
 // MemoryElements returns the total buffer footprint across shards, in
 // elements.
 func (c *Concurrent) MemoryElements() int {
@@ -413,23 +416,9 @@ func (c *Concurrent) MemoryElements() int {
 	return total
 }
 
-// ShardCounts returns the number of elements each shard currently holds, in
-// shard order — the occupancy view a monitoring surface exposes to judge how
-// balanced routing is. Each count is read under its shard's lock; the slice
-// as a whole is not one atomic cut across shards.
-func (c *Concurrent) ShardCounts() []int64 {
-	counts := make([]int64, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		counts[i] = sh.est.Count()
-		sh.mu.Unlock()
-	}
-	return counts
-}
-
-// IngestStats is the pooled collapse accounting across all shards, the
-// counters an observability endpoint exposes alongside quantile answers
-// (the paper's Figure 5 symbols, summed over the shard forest).
+// IngestStats is the MRL collapse accounting of one sketch or pooled
+// across a Concurrent's shards, the counters an observability endpoint
+// exposes alongside quantile answers (the paper's Figure 5 symbols).
 type IngestStats struct {
 	// Leaves is L: completely filled weight-1 buffers produced by NEW.
 	Leaves int64
@@ -456,7 +445,7 @@ func (c *Concurrent) Stats() IngestStats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		st := sh.est.(*Sketch).det.Stats()
+		st := sh.est.(*Sketch).Stats()
 		sh.mu.Unlock()
 		out.Leaves += st.Leaves
 		out.Collapses += st.Collapses

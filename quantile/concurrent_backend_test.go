@@ -46,7 +46,7 @@ func TestConcurrentBackends(t *testing.T) {
 				t.Fatalf("count %d", c.Count())
 			}
 			var shardTotal int64
-			for _, n := range c.ShardCounts() {
+			for _, n := range c.shardCounts() {
 				shardTotal += n
 			}
 			if shardTotal != int64(len(data)) {
@@ -117,7 +117,7 @@ func TestConcurrentBackends(t *testing.T) {
 				}
 			}
 
-			// CombineEstimators folds restored baselines into the answers.
+			// CombineParts folds restored baselines into the answers.
 			baseline, err := NewEstimator(b, Config{Epsilon: 0.01, Seed: 99})
 			if err != nil {
 				t.Fatal(err)
@@ -130,15 +130,15 @@ func TestConcurrentBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			union := append(append([]float64(nil), data...), extraData...)
-			uv, ub, un, err := c.CombineEstimators([]Estimator{nil, baseline}, phis)
+			uv, ub, un, err := CombineParts(b, c.partsWith(nil, baseline), phis)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if un != int64(len(union)) {
 				t.Fatalf("combined count %d want %d", un, len(union))
 			}
-			if be := c.BoundEstimators([]Estimator{nil, baseline}); be != ub {
-				t.Fatalf("BoundEstimators %v != combined bound %v", be, ub)
+			if _, be, _, _ := CombineParts(b, c.partsWith(nil, baseline), nil); be != ub {
+				t.Fatalf("bound-only CombineParts %v != combined bound %v", be, ub)
 			}
 			urep, err := validate.Evaluate(string(b)+"-union", union, phis, uv)
 			if err != nil {
@@ -240,7 +240,7 @@ func TestConcurrentKLLRace(t *testing.T) {
 				c.ErrorBound()
 				c.Count()
 				c.EstimatorStats()
-				c.ShardCounts()
+				c.shardCounts()
 			}
 		}()
 	}
@@ -255,7 +255,7 @@ func TestConcurrentKLLRace(t *testing.T) {
 	}
 }
 
-// TestCombineLeavesPartsUntouched: CombineEstimators and SealEstimator
+// TestCombineLeavesPartsUntouched: CombineParts and SealEstimator
 // clone only the root of their fold and absorb every other part in place,
 // so every shard and every extra must still encode to the same bytes
 // afterwards, whatever the backend.
@@ -294,7 +294,7 @@ func TestCombineLeavesPartsUntouched(t *testing.T) {
 				return blobs
 			}
 			before := encode()
-			if _, _, _, err := c.CombineEstimators([]Estimator{extra}, []float64{0.1, 0.5, 0.99}); err != nil {
+			if _, _, _, err := CombineParts(c.backend, c.partsWith(extra), []float64{0.1, 0.5, 0.99}); err != nil {
 				t.Fatal(err)
 			}
 			sealed, err := c.SealEstimator()
@@ -320,4 +320,36 @@ func (c *Concurrent) shardEstimators() []Estimator {
 		out[i] = sh.est
 	}
 	return out
+}
+
+// shardCounts reads each shard's element count under its lock (test access
+// only).
+func (c *Concurrent) shardCounts() []int64 {
+	counts := make([]int64, len(c.shards))
+	for i, sh := range c.shards {
+		sh.mu.Lock()
+		counts[i] = sh.est.Count()
+		sh.mu.Unlock()
+	}
+	return counts
+}
+
+// partsWith enumerates the shards, each under its lock, then every non-nil
+// extra estimator — a live sketch combined with restored baselines (test
+// access only).
+func (c *Concurrent) partsWith(extra ...Estimator) Parts {
+	return func(visit func(Estimator) error) error {
+		if err := c.parts()(visit); err != nil {
+			return err
+		}
+		for _, e := range extra {
+			if e == nil {
+				continue
+			}
+			if err := visit(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }

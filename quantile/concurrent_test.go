@@ -75,8 +75,8 @@ func TestConcurrentBasic(t *testing.T) {
 	if got := c.ErrorBound(); got != bound {
 		t.Errorf("ErrorBound = %v, QuantilesWithBound reported %v", got, bound)
 	}
-	if c.Shards() != 4 {
-		t.Errorf("Shards = %d", c.Shards())
+	if len(c.shards) != 4 {
+		t.Errorf("Shards = %d", len(c.shards))
 	}
 	if !strings.Contains(c.Describe(), "shards=4") {
 		t.Errorf("Describe = %q", c.Describe())
@@ -365,8 +365,8 @@ func TestConcurrentConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Shards() != runtime.GOMAXPROCS(0) {
-		t.Errorf("default Shards = %d, want GOMAXPROCS = %d", c.Shards(), runtime.GOMAXPROCS(0))
+	if len(c.shards) != runtime.GOMAXPROCS(0) {
+		t.Errorf("default Shards = %d, want GOMAXPROCS = %d", len(c.shards), runtime.GOMAXPROCS(0))
 	}
 	// Explicit geometry provisions every shard as B x K.
 	g, err := NewConcurrent(ConcurrentConfig{B: 4, K: 32, Shards: 3})
@@ -523,8 +523,8 @@ func TestConcurrentShardCountsAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ShardCounts(); len(got) != 4 {
-		t.Fatalf("ShardCounts = %v", got)
+	if got := c.shardCounts(); len(got) != 4 {
+		t.Fatalf("shard counts = %v", got)
 	}
 	vs := make([]float64, n)
 	for i := range vs {
@@ -534,7 +534,7 @@ func TestConcurrentShardCountsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total int64
-	for _, sc := range c.ShardCounts() {
+	for _, sc := range c.shardCounts() {
 		total += sc
 	}
 	if total != n {
@@ -553,10 +553,11 @@ func TestConcurrentShardCountsAndStats(t *testing.T) {
 	}
 }
 
-// TestConcurrentCombineEstimatorsMRL pins the MRL side of the combine API:
-// restored-sketch and nil extras, BoundEstimators agreeing with the bound
-// CombineEstimators certifies, the no-extras case matching the plain read
-// path, and the rejection of sampled sketches.
+// TestConcurrentCombineEstimatorsMRL pins the MRL side of CombineParts over
+// a Concurrent's shards plus extras: restored-sketch and nil extras, the
+// bound-only evaluation agreeing with the bound the query certifies, the
+// no-extras case matching the plain read path, and the rejection of
+// sampled sketches.
 func TestConcurrentCombineEstimatorsMRL(t *testing.T) {
 	const n = 40_000
 	data := make([]float64, n)
@@ -589,15 +590,15 @@ func TestConcurrentCombineEstimatorsMRL(t *testing.T) {
 	}
 
 	phis := []float64{0.1, 0.5, 0.9}
-	values, bound, count, err := c.CombineEstimators([]Estimator{restored, nil}, phis)
+	values, bound, count, err := CombineParts(BackendMRL, c.partsWith(restored, nil), phis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if count != n {
 		t.Fatalf("combined count %d, want %d", count, n)
 	}
-	if got := c.BoundEstimators([]Estimator{restored, nil}); got != bound {
-		t.Fatalf("BoundEstimators %v != CombineEstimators bound %v", got, bound)
+	if _, got, _, _ := CombineParts(BackendMRL, c.partsWith(restored, nil), nil); got != bound {
+		t.Fatalf("bound-only CombineParts %v != combined bound %v", got, bound)
 	}
 	for i, phi := range phis {
 		target := math.Ceil(phi * n)
@@ -610,16 +611,16 @@ func TestConcurrentCombineEstimatorsMRL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, nilBound, nilCount, err := c.CombineEstimators(nil, phis)
+	viaNil, nilBound, nilCount, err := CombineParts(BackendMRL, c.partsWith(), phis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nilCount != c.Count() || nilBound != directBound {
-		t.Fatalf("CombineEstimators(nil) accounting %d/%v, want %d/%v", nilCount, nilBound, c.Count(), directBound)
+		t.Fatalf("CombineParts without extras: accounting %d/%v, want %d/%v", nilCount, nilBound, c.Count(), directBound)
 	}
 	for i := range direct {
 		if direct[i] != viaNil[i] {
-			t.Fatalf("CombineEstimators(nil) diverges from QuantilesWithBound at %d", i)
+			t.Fatalf("CombineParts without extras diverges from QuantilesWithBound at %d", i)
 		}
 	}
 	// Sampled sketches cannot take part.
@@ -630,7 +631,7 @@ func TestConcurrentCombineEstimatorsMRL(t *testing.T) {
 	if !smp.Sampled() {
 		t.Skip("sampling plan did not trigger; cannot exercise rejection")
 	}
-	if _, _, _, err := c.CombineEstimators([]Estimator{smp}, phis); err == nil {
+	if _, _, _, err := CombineParts(BackendMRL, c.partsWith(smp), phis); err == nil {
 		t.Error("sampled extra accepted")
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"math/rand"
 
 	"mrl/internal/core"
-	"mrl/internal/parallel"
 	"mrl/internal/params"
 	"mrl/internal/sampling"
 )
@@ -337,6 +336,19 @@ func (s *Sketch) MemoryElements() int {
 	return s.det.MemoryElements()
 }
 
+// Stats returns a deterministic sketch's collapse accounting; a sampled
+// sketch reports zeros.
+func (s *Sketch) Stats() IngestStats {
+	if s.det == nil {
+		return IngestStats{}
+	}
+	st := s.det.Stats()
+	return IngestStats{
+		Leaves: st.Leaves, Collapses: st.Collapses, WeightSum: st.WeightSum,
+		MaxCollapseWeight: st.MaxCollapseWeight, Absorbs: st.Absorbs, Fallbacks: st.Fallbacks,
+	}
+}
+
 // Sampled reports whether the sketch runs on a random sample (probabilistic
 // guarantee) rather than the full stream (deterministic guarantee).
 func (s *Sketch) Sampled() bool { return s.smp != nil }
@@ -398,16 +410,14 @@ func Combine(sketches []*Sketch, phis []float64) (values []float64, errorBound f
 	if len(sketches) == 0 {
 		return nil, 0, errors.New("quantile: no sketches to combine")
 	}
-	cores := make([]*core.Sketch, len(sketches))
-	for i, s := range sketches {
-		if s.smp != nil {
-			return nil, 0, errors.New("quantile: sampled sketches cannot be combined")
+	parts := func(visit func(Estimator) error) error {
+		for _, s := range sketches {
+			if err := visit(s); err != nil {
+				return err
+			}
 		}
-		cores[i] = s.det
+		return nil
 	}
-	res, err := parallel.Combine(cores, phis)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Values, res.ErrorBound, nil
+	values, errorBound, _, err = CombineParts(BackendMRL, parts, phis)
+	return values, errorBound, err
 }

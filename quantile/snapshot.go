@@ -117,8 +117,6 @@ func CombineEstimatorSnapshots(snaps []EstimatorSnapshot, phis []float64) (value
 		}
 		ests[i] = e
 	}
-	// The restored parts are private copies, so the fold may absorb into
-	// them without cloning.
 	parts := func(visit func(Estimator) error) error {
 		for _, e := range ests {
 			if err := visit(e); err != nil {
@@ -127,5 +125,5 @@ func CombineEstimatorSnapshots(snaps []EstimatorSnapshot, phis []float64) (value
 		}
 		return nil
 	}
-	return combine(backend, parts, true, true, phis)
+	return CombineParts(backend, parts, phis)
 }

@@ -53,7 +53,7 @@ func TestEstimatorSnapshotsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantVals, wantBound, wantCount, err := c.CombineEstimators(nil, phis)
+			wantVals, wantBound, wantCount, err := CombineParts(c.Backend(), c.parts(), phis)
 			if err != nil {
 				t.Fatal(err)
 			}
